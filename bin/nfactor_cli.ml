@@ -264,6 +264,20 @@ let testgen_cmd =
   Cmd.v (Cmd.info "testgen" ~doc:"Generate model-covering test packets (BUZZ-style).")
     Term.(const run $ cache_dir_arg $ nf_arg)
 
+(* The seeded traffic behind [run] and [chain run]: uniform random
+   packets by default, the churn workload with [--churn]. Each call
+   starts the stream afresh. *)
+let traffic_source ~seed churn =
+  match churn with
+  | Some concurrent ->
+      let ch = Packet.Traffic.churn_gen ~concurrent ~seed () in
+      fun () -> Packet.Traffic.churn_next ch
+  | None -> Packet.Traffic.random_source ~seed ()
+
+let traffic ~seed ~n churn =
+  let next = traffic_source ~seed churn in
+  Array.init n (fun _ -> next ())
+
 let run_cmd =
   let n = Arg.(value & opt int 100_000 & info [ "n" ] ~doc:"Packets to replay.") in
   let seed = Arg.(value & opt int 2016 & info [ "seed" ] ~doc:"Traffic seed.") in
@@ -293,23 +307,13 @@ let run_cmd =
         let store = Nfactor.Model_interp.initial_store ex in
         let plan = Pipeline.Manager.plan m ex in
         let mpps secs = if secs > 0. then float_of_int n /. secs /. 1e6 else 0. in
-        (* The same stream for the timed run and for --check: random by
-           default, churn when asked. *)
-        let stream () =
-          match churn with
-          | Some concurrent ->
-              let ch = Packet.Traffic.churn_gen ~concurrent ~seed () in
-              Array.init n (fun _ -> Packet.Traffic.churn_next ch)
-          | None -> Array.of_list (Packet.Traffic.random_stream ~seed ~n ())
-        in
+        (* The same stream for the timed run and for --check. *)
+        let stream () = traffic ~seed ~n churn in
         if shards = 1 then begin
           let eng = Nfactor_runtime.Engine.create ?capacity plan ~store in
           let secs =
-            match churn with
-            | Some concurrent ->
-                let ch = Packet.Traffic.churn_gen ~concurrent ~seed () in
-                Nfactor_runtime.Engine.replay_churn eng ~churn:ch ~n
-            | None -> Nfactor_runtime.Engine.replay eng ~seed ~n
+            Nfactor_runtime.Engine.timed_replay ~n (traffic_source ~seed churn)
+              (Array.iter (Nfactor_runtime.Engine.step_count eng))
           in
           if json then print_endline (Nfactor_runtime.Engine.stats_json eng)
           else begin
@@ -355,11 +359,8 @@ let run_cmd =
             ~finally:(fun () -> Nfactor_runtime.Shard.shutdown sh)
             (fun () ->
               let secs =
-                match churn with
-                | Some concurrent ->
-                    let ch = Packet.Traffic.churn_gen ~concurrent ~seed () in
-                    Nfactor_runtime.Shard.replay_churn sh ~churn:ch ~n
-                | None -> Nfactor_runtime.Shard.replay sh ~seed ~n
+                Nfactor_runtime.Engine.timed_replay ~n (traffic_source ~seed churn)
+                  (Nfactor_runtime.Shard.run_batch_count sh)
               in
               if json then print_endline (Nfactor_runtime.Shard.stats_json sh ~nf:name)
               else begin
@@ -636,21 +637,12 @@ let chain_run_cmd =
     let nodes = chain_nodes ?cache_dir spec in
     let cp = Nfactor_runtime.Chainplan.link nodes in
     let mpps secs = if secs > 0. then float_of_int n /. secs /. 1e6 else 0. in
-    let stream () =
-      match churn with
-      | Some concurrent ->
-          let ch = Packet.Traffic.churn_gen ~concurrent ~seed () in
-          Array.init n (fun _ -> Packet.Traffic.churn_next ch)
-      | None -> Array.of_list (Packet.Traffic.random_stream ~seed ~n ())
-    in
+    let stream () = traffic ~seed ~n churn in
     if shards = 1 then begin
       let eng = Nfactor_runtime.Chainengine.create ?capacity cp in
       let secs =
-        match churn with
-        | Some concurrent ->
-            let ch = Packet.Traffic.churn_gen ~concurrent ~seed () in
-            Nfactor_runtime.Chainengine.replay_churn eng ~churn:ch ~n
-        | None -> Nfactor_runtime.Chainengine.replay eng ~seed ~n
+        Nfactor_runtime.Engine.timed_replay ~n (traffic_source ~seed churn)
+          (Nfactor_runtime.Chainengine.run_batch_count eng)
       in
       if json then print_endline (Nfactor_runtime.Chainengine.stats_json eng)
       else begin

@@ -36,6 +36,19 @@ type sexp = Atom of string | List of sexp list
 
 exception Parse_error of string
 
+(* Number and boolean atoms decode through these, so malformed text
+   surfaces as the declared [Parse_error], never [Failure] or
+   [Invalid_argument]. *)
+let int_atom s =
+  match int_of_string_opt s with
+  | Some n -> n
+  | None -> raise (Parse_error ("bad integer: " ^ s))
+
+let bool_atom s =
+  match bool_of_string_opt s with
+  | Some b -> b
+  | None -> raise (Parse_error ("bad boolean: " ^ s))
+
 (* Atom-alphabet membership is the parser's innermost loop; a 256-entry
    table beats re-scanning the punctuation string per character. *)
 let atom_char_table =
@@ -107,12 +120,19 @@ let parse_sexp (input : string) =
             | 'r' -> Buffer.add_char b '\r'
             | c when c >= '0' && c <= '9' ->
                 (* OCaml-style decimal escape \DDD *)
-                let d1 = Char.code (peek ()) - 48 in
+                let digit () =
+                  match peek () with
+                  | '0' .. '9' as d -> Char.code d - 48
+                  | _ -> raise (Parse_error "bad decimal escape")
+                in
+                let d1 = digit () in
                 advance ();
-                let d2 = Char.code (peek ()) - 48 in
+                let d2 = digit () in
                 advance ();
-                let d3 = Char.code (peek ()) - 48 in
-                Buffer.add_char b (Char.chr ((d1 * 100) + (d2 * 10) + d3))
+                let d3 = digit () in
+                let code = (d1 * 100) + (d2 * 10) + d3 in
+                if code > 255 then raise (Parse_error "bad decimal escape");
+                Buffer.add_char b (Char.chr code)
             | c -> Buffer.add_char b c);
             advance ();
             go ()
@@ -175,8 +195,8 @@ let rec sexp_of_value = function
   | Value.Pkt _ -> raise (Parse_error "packets are not serializable model constants")
 
 let rec value_of_sexp = function
-  | List [ Atom "i"; Atom n ] -> Value.Int (int_of_string n)
-  | List [ Atom "b"; Atom b ] -> Value.Bool (bool_of_string b)
+  | List [ Atom "i"; Atom n ] -> Value.Int (int_atom n)
+  | List [ Atom "b"; Atom b ] -> Value.Bool (bool_atom b)
   | List [ Atom "s"; Atom s ] -> Value.Str s
   | List (Atom "tuple" :: vs) -> Value.Tuple (List.map value_of_sexp vs)
   | List (Atom "list" :: vs) -> Value.List (List.map value_of_sexp vs)
@@ -378,9 +398,9 @@ let entry_of_sexp = function
             state_update = List.map update_of_sexp updates;
             path_sids =
               List.map
-                (function Atom s -> int_of_string s | _ -> raise (Parse_error "bad sid"))
+                (function Atom s -> int_atom s | _ -> raise (Parse_error "bad sid"))
                 path;
-            truncated = bool_of_string trunc;
+            truncated = bool_atom trunc;
           }
       | _ -> raise (Parse_error "bad entry body"))
   | s -> raise (Parse_error ("bad entry: " ^ sexp_to_string s))
@@ -415,7 +435,7 @@ let of_string input =
         List (Atom "ois-vars" :: ois);
         List (Atom "entries" :: entries);
       ] ->
-      let v = int_of_string v in
+      let v = int_atom v in
       if v < 1 || v > version then
         raise (Parse_error (Printf.sprintf "unsupported version %d" v));
       let names l =

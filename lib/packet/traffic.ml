@@ -42,10 +42,14 @@ let random_pkt rng profile =
     Pkt.make ~ip_src:server ~ip_dst:client ~sport:dport ~dport:sport ~tcp_flags:flags
       ~payload:(Rng.pick rng profile.payloads) ()
 
-(** [random_stream ~seed ~n profile] is [n] independent random packets. *)
-let random_stream ?(profile = default_profile) ~seed ~n () =
+let random_source ?(profile = default_profile) ~seed () =
   let rng = Rng.create seed in
-  List.init n (fun _ -> random_pkt rng profile)
+  fun () -> random_pkt rng profile
+
+(** [random_stream ~seed ~n profile] is [n] independent random packets. *)
+let random_stream ?profile ~seed ~n () =
+  let next = random_source ?profile ~seed () in
+  List.init n (fun _ -> next ())
 
 (** A conversation addressed by position, so a flow in flight needs
     only its endpoint tuple and a cursor — no materialized packet

@@ -14,6 +14,10 @@ val random_pkt : Rng.t -> profile -> Pkt.t
 (** One fully random packet (uniform fields from the profile pools,
     random direction and flags) — the Section-5 accuracy workload. *)
 
+val random_source : ?profile:profile -> seed:int -> unit -> unit -> Pkt.t
+(** Endless generator of independent random packets: successive calls
+    yield exactly the sequence {!random_stream} lists. *)
+
 val random_stream : ?profile:profile -> seed:int -> n:int -> unit -> Pkt.t list
 (** [n] independent random packets. *)
 

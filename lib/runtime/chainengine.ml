@@ -110,40 +110,7 @@ let step_timed t pkt =
       Engine.step_count_at eng ~root:start p)
     !pending
 
-let replay ?(profile = Packet.Traffic.default_profile) t ~seed ~n =
-  let rng = Packet.Rng.create seed in
-  let elapsed = ref 0.0 in
-  let remaining = ref n in
-  while !remaining > 0 do
-    let m = min !remaining 4096 in
-    let buf = ref [] in
-    for _ = 1 to m do
-      buf := Packet.Traffic.random_pkt rng profile :: !buf
-    done;
-    let pkts = Array.of_list (List.rev !buf) in
-    let t0 = Unix.gettimeofday () in
-    for i = 0 to m - 1 do
-      step_timed t pkts.(i)
-    done;
-    elapsed := !elapsed +. (Unix.gettimeofday () -. t0);
-    remaining := !remaining - m
-  done;
-  !elapsed
-
-let replay_churn ?(batch = 4096) t ~churn ~n =
-  let elapsed = ref 0.0 in
-  let remaining = ref n in
-  while !remaining > 0 do
-    let m = min !remaining batch in
-    let pkts = Array.init m (fun _ -> Packet.Traffic.churn_next churn) in
-    let t0 = Unix.gettimeofday () in
-    for i = 0 to m - 1 do
-      step_timed t pkts.(i)
-    done;
-    elapsed := !elapsed +. (Unix.gettimeofday () -. t0);
-    remaining := !remaining - m
-  done;
-  !elapsed
+let run_batch_count t pkts = Array.iter (step_timed t) pkts
 
 (* Chain deliveries from the last hop's entry-hit counters: each fire
    of entry [e] emits one packet per forward snapshot — valid for both

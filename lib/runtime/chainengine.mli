@@ -50,18 +50,14 @@ val step_trace : t -> Packet.Pkt.t -> Packet.Pkt.t list * hoprec list
 
 val run_batch : t -> Packet.Pkt.t array -> Packet.Pkt.t list array
 
-val replay :
-  ?profile:Packet.Traffic.profile -> t -> seed:int -> n:int -> float
-(** Seeded-traffic replay, timed stepping only (generation outside the
-    timed sections, allocation-free final hop) — comparable 1:1 with
-    timing {!Verify.Network.run} on the same stream. *)
-
-val replay_churn :
-  ?batch:int -> t -> churn:Packet.Traffic.churn -> n:int -> float
+val run_batch_count : t -> Packet.Pkt.t array -> unit
+(** {!run_batch} for timed loops (see {!Engine.timed_replay}):
+    intermediate hops materialize their outputs, the last hop counts
+    only, so no per-packet outcome is allocated. *)
 
 val delivered : t -> int
 (** Packets that emerged from the last hop (derived from its entry-hit
-    counters, so replay's allocation-free path counts too). *)
+    counters, so {!run_batch_count} counts too). *)
 
 val snapshot_hops : t -> (string * Nfactor.Model_interp.store) list
 (** Per-hop final stores with original variable names, in chain order

@@ -386,44 +386,17 @@ let fire_pending t ~count pkt (p : pending) =
 let run_batch t pkts = Array.map (step t) pkts
 
 (* Packet generation happens outside the timed sections, in chunks so
-   memory stays bounded: [engine_ms] charges the stepping and nothing
-   else. The explicit fill loop keeps the RNG consumption order
-   identical to [Packet.Traffic.random_stream]. The timed loop uses
-   the counted step — no outcome or output allocation. *)
-let replay ?(profile = Packet.Traffic.default_profile) t ~seed ~n =
-  let rng = Packet.Rng.create seed in
+   memory stays bounded: the result charges the stepping and nothing
+   else. [Array.init] draws in index order, so the stream is exactly
+   the source's sequence. *)
+let timed_replay ~n next step =
   let elapsed = ref 0.0 in
   let remaining = ref n in
   while !remaining > 0 do
     let m = min !remaining 4096 in
-    let buf = ref [] in
-    for _ = 1 to m do
-      buf := Packet.Traffic.random_pkt rng profile :: !buf
-    done;
-    let pkts = Array.of_list (List.rev !buf) in
+    let pkts = Array.init m (fun _ -> next ()) in
     let t0 = Unix.gettimeofday () in
-    for i = 0 to m - 1 do
-      step_count t pkts.(i)
-    done;
-    elapsed := !elapsed +. (Unix.gettimeofday () -. t0);
-    remaining := !remaining - m
-  done;
-  !elapsed
-
-(* Same timed-loop discipline as {!replay}, over a churn generator
-   (constant live-flow pool with unbounded turnover). The generator is
-   consumed outside the timed sections, so elapsed time is stepping
-   only — comparable 1:1 with {!Shard.replay_churn}. *)
-let replay_churn ?(batch = 4096) t ~churn ~n =
-  let elapsed = ref 0.0 in
-  let remaining = ref n in
-  while !remaining > 0 do
-    let m = min !remaining batch in
-    let pkts = Array.init m (fun _ -> Packet.Traffic.churn_next churn) in
-    let t0 = Unix.gettimeofday () in
-    for i = 0 to m - 1 do
-      step_count t pkts.(i)
-    done;
+    step pkts;
     elapsed := !elapsed +. (Unix.gettimeofday () -. t0);
     remaining := !remaining - m
   done;

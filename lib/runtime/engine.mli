@@ -139,18 +139,17 @@ val fire_pending : t -> count:bool -> Packet.Pkt.t -> pending -> outcome
     second walk, no second packet count. Returns a placeholder miss
     outcome when [count]. *)
 
-val replay :
-  ?profile:Packet.Traffic.profile -> t -> seed:int -> n:int -> float
-(** Drive [n] packets of the seeded {!Packet.Traffic} generator through
-    the engine in bounded chunks; returns elapsed wall-clock seconds
-    spent stepping only — packet generation happens outside the timed
-    sections, and the timed loop uses {!step_count} (allocation-free).
-    The stream equals [Packet.Traffic.random_stream ~seed ~n profile]. *)
-
-val replay_churn : ?batch:int -> t -> churn:Packet.Traffic.churn -> n:int -> float
-(** {!replay} over a churn generator (constant live-flow pool with
-    unbounded turnover, see {!Packet.Traffic.churn_gen}); the
-    generator advances, so successive calls continue the stream. *)
+val timed_replay : n:int -> (unit -> Packet.Pkt.t) -> (Packet.Pkt.t array -> unit) -> float
+(** [timed_replay ~n next step] draws [n] packets from [next] in
+    bounded chunks and hands each chunk to [step], a counted,
+    allocation-free batch stepper: [Array.iter (step_count t)],
+    [Chainengine.run_batch_count] or [Shard.run_batch_count]. Returns
+    wall-clock seconds spent in [step] only (packet generation is
+    untimed). With
+    [next = Packet.Traffic.random_source ~seed ()] the stream equals
+    [Packet.Traffic.random_stream ~seed ~n ()]; with
+    [fun () -> Packet.Traffic.churn_next ch] the churn generator
+    advances, so successive calls continue its stream. *)
 
 val snapshot : t -> Nfactor.Model_interp.store
 (** Final state as an interpreter store, comparable against

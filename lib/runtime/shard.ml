@@ -334,34 +334,6 @@ let run_batch t pkts =
 
 let run_batch_count t pkts = exec t ~count:true pkts dummy_out
 
-let replay ?(profile = Packet.Traffic.default_profile) ?(batch = 4096) t ~seed
-    ~n =
-  let rng = Packet.Rng.create seed in
-  let elapsed = ref 0.0 in
-  let remaining = ref n in
-  while !remaining > 0 do
-    let m = min !remaining batch in
-    let pkts = Array.init m (fun _ -> Packet.Traffic.random_pkt rng profile) in
-    let t0 = Unix.gettimeofday () in
-    run_batch_count t pkts;
-    elapsed := !elapsed +. (Unix.gettimeofday () -. t0);
-    remaining := !remaining - m
-  done;
-  !elapsed
-
-let replay_churn ?(batch = 4096) t ~churn ~n =
-  let elapsed = ref 0.0 in
-  let remaining = ref n in
-  while !remaining > 0 do
-    let m = min !remaining batch in
-    let pkts = Array.init m (fun _ -> Packet.Traffic.churn_next churn) in
-    let t0 = Unix.gettimeofday () in
-    run_batch_count t pkts;
-    elapsed := !elapsed +. (Unix.gettimeofday () -. t0);
-    remaining := !remaining - m
-  done;
-  !elapsed
-
 let shutdown t =
   if not t.stopped then begin
     t.stopped <- true;

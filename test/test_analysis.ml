@@ -320,7 +320,24 @@ let test_corpus_minimize_exact () =
         <= Model.entry_count o.Analysis.Minimize.original);
       Alcotest.(check bool) (name ^ " post-min clean") true
         (Analysis.Lint.is_clean
-           (Analysis.Lint.model_lint ~ordered:true ~store o.Analysis.Minimize.minimized)))
+           (Analysis.Lint.model_lint ~ordered:true ~store o.Analysis.Minimize.minimized));
+      (* The rewrites survive compilation: both models' compiled plans
+         replay the same traffic to identical outputs and stores. *)
+      let pkts = Array.of_list (Packet.Traffic.random_stream ~seed:909 ~n:5000 ()) in
+      let replay m =
+        let eng = Nfactor_runtime.Engine.of_model m ~config:store ~store in
+        let outs = Nfactor_runtime.Engine.run_batch eng pkts in
+        (outs, Nfactor_runtime.Engine.snapshot eng)
+      in
+      let outs_a, store_a = replay o.Analysis.Minimize.original in
+      let outs_b, store_b = replay o.Analysis.Minimize.minimized in
+      Alcotest.(check bool) (name ^ " compiled replay equal") true
+        (Array.for_all2
+           (fun (a : Nfactor_runtime.Engine.outcome) (b : Nfactor_runtime.Engine.outcome) ->
+             List.equal Packet.Pkt.equal a.Nfactor_runtime.Engine.outputs
+               b.Nfactor_runtime.Engine.outputs)
+           outs_a outs_b
+        && Model_interp.Smap.equal Value.equal store_a store_b))
     Nfs.Corpus.all
 
 (* --------------------------------------------------------------- *)

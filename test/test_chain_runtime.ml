@@ -155,7 +155,22 @@ let test_differential_churn () =
       Alcotest.(check bool) (node.Verify.Network.id ^ " churn store") true
         (stores_equal node.Verify.Network.store got))
     chain.Verify.Network.nodes
+    (Chainengine.snapshot_hops eng);
+  (* The counted timed loop over the same stream leaves the same
+     per-hop state and delivers the same packets. *)
+  let counted = Chainengine.create (link names) in
+  let ch = gen () in
+  ignore
+    (Engine.timed_replay ~n:4000
+       (fun () -> Packet.Traffic.churn_next ch)
+       (Chainengine.run_batch_count counted));
+  List.iter2
+    (fun (id, a) (_, b) ->
+      Alcotest.(check bool) (id ^ " counted store") true (stores_equal a b))
     (Chainengine.snapshot_hops eng)
+    (Chainengine.snapshot_hops counted);
+  Alcotest.(check int) "counted delivered" (Chainengine.delivered eng)
+    (Chainengine.delivered counted)
 
 let test_trace_matches_interp () =
   let names = [ "firewall"; "nat"; "snort" ] in

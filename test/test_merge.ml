@@ -220,16 +220,46 @@ let extract_pair =
         Hashtbl.replace tbl name (on, off);
         (on, off)
 
+(* Path census of the recursive forker that preceded the worklist
+   engine: (paths, solver calls) per NF below the profitability
+   threshold. Counters are machine-independent, so the worklist engine
+   must reproduce the census exactly and never spend more solver
+   calls. *)
+let forker_census =
+  [
+    ("lb", (5, 8));
+    ("balance", (11, 20));
+    ("snort", (6, 10));
+    ("nat", (5, 8));
+    ("firewall", (6, 10));
+    ("firewall_redundant", (8, 14));
+    ("ratelimiter", (5, 8));
+    ("ips", (10, 18));
+    ("synguard", (10, 18));
+    ("acl", (5, 8));
+    ("mirror", (3, 4));
+    ("portknock", (11, 20));
+  ]
+
 let test_legacy_models_byte_identical () =
   (* Below the profitability threshold the merge policy must not fire:
      the refactored explorer with merging on produces byte-for-byte the
-     models of the unmerged enumeration. *)
+     models of the unmerged enumeration, on the forker's census. *)
   List.iter
     (fun (e : Nfs.Corpus.entry) ->
       let name = e.Nfs.Corpus.name in
       if not (List.mem name stress_names) then begin
         let on, off = extract_pair e in
         Alcotest.(check int) (name ^ ": no merges") 0 on.Extract.stats.Explore.merges;
+        (match List.assoc_opt name forker_census with
+        | Some (paths, calls) ->
+            Alcotest.(check int) (name ^ ": census paths") paths on.Extract.stats.Explore.paths;
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: solver calls %d <= census %d" name
+                 on.Extract.stats.Explore.solver_calls calls)
+              true
+              (on.Extract.stats.Explore.solver_calls <= calls)
+        | None -> Alcotest.failf "%s: no census recorded" name);
         Alcotest.(check string)
           (name ^ ": model byte-identical")
           (Model_io.to_string off.Extract.model)

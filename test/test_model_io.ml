@@ -120,6 +120,8 @@ let test_parse_errors () =
     | _ -> Alcotest.failf "expected parse error on %S" s
   in
   fails "";
+  fails "\"\\999\"";
+  fails "\"\\1x2\"";
   fails "(";
   fails "(a))";
   fails "\"open";
@@ -149,6 +151,52 @@ let qcheck_sexp_roundtrip =
       let s = gen 4 rng in
       Model_io.parse_sexp (Model_io.sexp_to_string s) = s)
 
+(* Totality: a serialized corpus model with a few random byte edits
+   either decodes or raises the one declared [Parse_error] — never
+   [Failure], [Invalid_argument] or any other exception. The edit
+   alphabet favours the characters that turn well-formed atoms into
+   malformed numbers, booleans and escapes. *)
+let corpus_documents =
+  lazy
+    (Array.of_list
+       (List.map (fun n -> Model_io.to_string (extract_nf n).Extract.model) Nfs.Corpus.names))
+
+(* Replace, insert before, or delete the character at 1-3 random
+   positions. *)
+let mutate rng doc =
+  let alphabet = "0123456789-+xtruefals()\\\" \n" in
+  let b = Buffer.create (String.length doc + 8) in
+  let cuts =
+    List.sort_uniq compare
+      (List.init (1 + Packet.Rng.int rng 3) (fun _ -> Packet.Rng.int rng (String.length doc)))
+  in
+  let last =
+    List.fold_left
+      (fun from cut ->
+        Buffer.add_string b (String.sub doc from (cut - from));
+        let c = alphabet.[Packet.Rng.int rng (String.length alphabet)] in
+        (match Packet.Rng.int rng 3 with
+        | 0 -> Buffer.add_char b c
+        | 1 -> Buffer.add_string b (String.make 1 c ^ String.make 1 doc.[cut])
+        | _ -> ());
+        cut + 1)
+      0 cuts
+  in
+  Buffer.add_string b (String.sub doc last (String.length doc - last));
+  Buffer.contents b
+
+let qcheck_of_string_total =
+  QCheck.Test.make ~name:"model_io: of_string on mutated documents raises only Parse_error"
+    ~count:500
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Packet.Rng.create seed in
+      let docs = Lazy.force corpus_documents in
+      let doc = mutate rng docs.(Packet.Rng.int rng (Array.length docs)) in
+      match Model_io.of_string doc with
+      | _ -> true
+      | exception Model_io.Parse_error _ -> true)
+
 let suite =
   [
     Alcotest.test_case "model roundtrip (all NFs)" `Quick test_roundtrip_all_nfs;
@@ -160,4 +208,5 @@ let suite =
     Alcotest.test_case "residual roundtrip" `Quick test_residual_roundtrip;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
     QCheck_alcotest.to_alcotest qcheck_sexp_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_of_string_total;
   ]

@@ -60,9 +60,10 @@ let final_state name ~seed ~n () =
     true
     (stores_equal ref_store (Engine.snapshot eng))
 
-(* Same traffic delivered through [replay]'s streaming generator and
-   through a materialized [run_batch] must leave identical state and
-   counters — the generator equivalence the bench relies on. *)
+(* Same traffic delivered through [timed_replay] from a random source
+   and through a materialized [run_batch] must leave identical state
+   and counters — the source consumes the RNG exactly as
+   [random_stream] does. *)
 let test_replay_matches_batch () =
   List.iter
     (fun name ->
@@ -71,7 +72,10 @@ let test_replay_matches_batch () =
       let store = Nfactor.Model_interp.initial_store ex in
       let plan = Compile.compile model ~config:store in
       let a = Engine.create plan ~store in
-      let _ = Engine.replay a ~seed:7 ~n:500 in
+      let _ =
+        Engine.timed_replay ~n:500 (Packet.Traffic.random_source ~seed:7 ())
+          (Array.iter (Engine.step_count a))
+      in
       let b = Engine.create plan ~store in
       let _ =
         Engine.run_batch b (Array.of_list (Packet.Traffic.random_stream ~seed:7 ~n:500 ()))
@@ -243,7 +247,9 @@ let prop_engine_agrees =
           List.for_all2
             (fun r (o : Engine.outcome) -> outputs_equal r o.Engine.outputs)
             ref_out (Array.to_list outs)
-          && stores_equal ref_store (Engine.snapshot eng))
+          && stores_equal ref_store (Engine.snapshot eng)
+          (* fully classified: dispatch never falls back to the scan *)
+          && eng.Engine.stats.Engine.scan_hits = 0)
         [ "lb"; "balance"; "snort"; "nat"; "portknock" ])
 
 let corpus_cases =
