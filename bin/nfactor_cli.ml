@@ -978,9 +978,12 @@ let minimize_cmd =
             "  dead deleted: %d, shadowed deleted: %d, merged: %d, literals widened: %d@."
             o.Analysis.Minimize.deleted_dead o.Analysis.Minimize.deleted_shadowed
             o.Analysis.Minimize.merged o.Analysis.Minimize.widened_literals;
-          Fmt.pr "  differential gate: %s (%d packets)@."
-            (if o.Analysis.Minimize.verified then "exact" else "FAILED — original returned")
-            o.Analysis.Minimize.trials
+          if o.Analysis.Minimize.trials = 0 then
+            Fmt.pr "  differential gate: unchanged — no gate needed@."
+          else
+            Fmt.pr "  differential gate: %s (%d packets)@."
+              (if o.Analysis.Minimize.verified then "exact" else "FAILED — original returned")
+              o.Analysis.Minimize.trials
         end;
         (match output with
         | Some file ->

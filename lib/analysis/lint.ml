@@ -161,6 +161,142 @@ let initial_may_hold store base v =
   | Some _ -> true
 
 (* ------------------------------------------------------------------ *)
+(* Palette witnesses                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Witness search over the fixed test palette. Under one store a
+   literal's verdict on a palette packet never changes, so each
+   distinct literal is decided once per packet into a bitset (62
+   packets per word; an [int] word keeps the allocation out of the
+   major heap that a [bool array] of the palette's size lands in), and
+   an entry's matching packets are the AND of its literals' sets. The
+   lowest set bit is the first palette packet the entry matches —
+   exactly the one an ordered scan with [Model_interp.entry_matches]
+   finds. *)
+let palette = Array.of_list Verify.Testgen.base_palette
+let word_bits = 62
+let n_words = (Array.length palette + word_bits - 1) / word_bits
+
+(* A literal reads the packet only through the header fields it names,
+   so packets agreeing on those fields get the same verdict. Per field:
+   each palette packet's value as an index among the field's distinct
+   palette values, and how many there are. *)
+let field_classes =
+  let classes get =
+    lazy
+      (let ids = Hashtbl.create 8 in
+       let idx =
+         Array.map
+           (fun p ->
+             let v = get p in
+             match Hashtbl.find_opt ids v with
+             | Some k -> k
+             | None ->
+                 let k = Hashtbl.length ids in
+                 Hashtbl.add ids v k;
+                 k)
+           palette
+       in
+       (idx, Hashtbl.length ids))
+  in
+  List.map
+    (fun f -> (f, classes (fun p -> Value.Int (Packet.Pkt.get_int p f))))
+    Packet.Headers.int_fields
+  @ List.map
+      (fun f -> (f, classes (fun p -> Value.Str (Packet.Pkt.get_str p f))))
+      Packet.Headers.str_fields
+
+(* The field-class indexes [l] depends on: fields it names that vary
+   across the palette. *)
+let read_classes ~pkt_var (l : Solver.literal) =
+  let prefix = pkt_var ^ "." in
+  let plen = String.length prefix in
+  Sset.fold
+    (fun s acc ->
+      if String.length s > plen && String.sub s 0 plen = prefix then
+        match List.assoc_opt (String.sub s plen (String.length s - plen)) field_classes with
+        | Some c ->
+            let idx, n = Lazy.force c in
+            if n > 1 then idx :: acc else acc
+        | None -> acc
+      else acc)
+    (Sexpr.syms l.Solver.atom) []
+
+let full_set () =
+  Array.init n_words (fun w ->
+      let live = min word_bits (Array.length palette - (w * word_bits)) in
+      (1 lsl live) - 1)
+
+let inter a b = Array.map2 ( land ) a b
+
+let lowest_packet set =
+  let rec word w =
+    if w = n_words then None
+    else if set.(w) = 0 then word (w + 1)
+    else
+      let rec bit b = if set.(w) land (1 lsl b) <> 0 then b else bit (b + 1) in
+      Some palette.((w * word_bits) + bit 0)
+  in
+  word 0
+
+(* Per-table witness finder: literal sets memoized on [Solver.lit_key],
+   entry sets on the entry index. *)
+let witness_finder ~pkt_var st (entries : Model.entry array) =
+  let lit_sets = Hashtbl.create 64 in
+  let lit_set l =
+    let key = Solver.lit_key l in
+    match Hashtbl.find_opt lit_sets key with
+    | Some set -> set
+    | None ->
+        let classes = read_classes ~pkt_var l in
+        let verdicts = Hashtbl.create 16 in
+        let set = Array.make n_words 0 in
+        Array.iteri
+          (fun i p ->
+            let key = List.map (fun idx -> idx.(i)) classes in
+            let holds =
+              match Hashtbl.find_opt verdicts key with
+              | Some b -> b
+              | None ->
+                  let b = Model_interp.literal_holds ~pkt_var st p l in
+                  Hashtbl.add verdicts key b;
+                  b
+            in
+            if holds then
+              set.(i / word_bits) <- set.(i / word_bits) lor (1 lsl (i mod word_bits)))
+          palette;
+        Hashtbl.add lit_sets key set;
+        set
+  in
+  let entry_sets = Array.make (Array.length entries) None in
+  let entry_set j =
+    match entry_sets.(j) with
+    | Some set -> set
+    | None ->
+        let e = entries.(j) in
+        let set =
+          List.fold_left
+            (fun acc l -> inter acc (lit_set l))
+            (full_set ())
+            (classified_lits e)
+        in
+        entry_sets.(j) <- Some set;
+        set
+  in
+  (* The first packet matching every entry in [js]: the concretized
+     [resolved] candidate when it does, else the lowest palette packet. *)
+  fun resolved js ->
+    let concrete =
+      Option.map (Verify.Testgen.packet_of_assignment ~pkt_var) (Solver.concretize resolved)
+    in
+    match concrete with
+    | Some p
+      when List.for_all (fun j -> Model_interp.entry_matches ~pkt_var st p entries.(j)) js
+      ->
+        concrete
+    | _ -> lowest_packet (List.fold_left (fun acc j -> inter acc (entry_set j)) (full_set ()) js)
+
+(* ------------------------------------------------------------------ *)
 (* Table lints                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -175,6 +311,9 @@ let model_lint ?(ordered = false) ?store (m : Model.t) =
   in
   let all = Array.map all_lits entries in
   let resolved = Array.map resolve all in
+  let find_witness =
+    Option.map (fun st -> (st, witness_finder ~pkt_var st entries)) store
+  in
   let findings = ref [] in
   let add f = findings := f :: !findings in
   (* --- statically-false matches --------------------------------- *)
@@ -240,20 +379,10 @@ let model_lint ?(ordered = false) ?store (m : Model.t) =
       | None -> ()
       | Some (i, full) ->
           let witness =
-            match store with
+            match find_witness with
             | None -> None
-            | Some st -> (
-                let cands =
-                  (match Solver.concretize resolved.(j) with
-                  | Some asn -> [ Verify.Testgen.packet_of_assignment ~pkt_var asn ]
-                  | None -> [])
-                  @ Verify.Testgen.base_palette
-                in
-                match
-                  List.find_opt
-                    (fun p -> Model_interp.entry_matches ~pkt_var st p entries.(j))
-                    cands
-                with
+            | Some (st, find) -> (
+                match find resolved.(j) [ j ] with
                 | None -> None
                 | Some p -> (
                     let s = Model_interp.step m st p in
@@ -319,22 +448,10 @@ let model_lint ?(ordered = false) ?store (m : Model.t) =
                     i i;
               }
           else
-            match store with
+            match find_witness with
             | None -> ()
-            | Some st -> (
-                let cands =
-                  (match Solver.concretize (resolved.(i) @ resolved.(j)) with
-                  | Some asn -> [ Verify.Testgen.packet_of_assignment ~pkt_var asn ]
-                  | None -> [])
-                  @ Verify.Testgen.base_palette
-                in
-                match
-                  List.find_opt
-                    (fun p ->
-                      Model_interp.entry_matches ~pkt_var st p entries.(i)
-                      && Model_interp.entry_matches ~pkt_var st p entries.(j))
-                    cands
-                with
+            | Some (_, find) -> (
+                match find (resolved.(i) @ resolved.(j)) [ i; j ] with
                 | None -> ()
                 | Some p ->
                     (* A synthesized table is disjoint by construction, so

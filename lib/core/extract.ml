@@ -186,6 +186,30 @@ let slice_stage (p : Nfl.Ast.program) (classes : Statealyzer.Varclass.t) =
     sl_body = sliced_body_of_union p union_slice;
   }
 
+(* Longest run of [If]s outside loops, each the statement executed
+   right after the one before it. A diamond's join point (its immediate
+   post-dominator) is either that next statement or no statement at
+   all, so this bounds every {!Joins.chain_len} without building the
+   CFG. Loop bodies are skipped: their branches never merge. *)
+let max_if_chain (body : Nfl.Ast.block) =
+  let best = ref 0 in
+  (* Walks [b] backwards; [after] is the chain length starting at the
+     statement executed once [b] ends. *)
+  let rec block b after =
+    List.fold_right
+      (fun (s : Nfl.Ast.stmt) next ->
+        match s.Nfl.Ast.kind with
+        | Nfl.Ast.If (_, b1, b2) ->
+            ignore (block b1 next);
+            ignore (block b2 next);
+            best := max !best (1 + next);
+            1 + next
+        | _ -> 0)
+      b after
+  in
+  ignore (block body 0);
+  !best
+
 (** Join-point merge policy for exploring [body]: merge at branches
     with a statement join point outside loop bodies, but only on
     diamond chains of at least [min_chain] sequential branches — the
@@ -198,21 +222,24 @@ let slice_stage (p : Nfl.Ast.program) (classes : Statealyzer.Varclass.t) =
     must keep per-path concrete verdicts for the refinement step. *)
 let merge_policy_of ?(min_chain = 5) ~(classes : Statealyzer.Varclass.t)
     (body : Nfl.Ast.block) =
-  let joins = Joins.of_block body in
-  let banned =
-    List.fold_left
-      (fun acc v -> Sexpr.Sset.add v acc)
-      Sexpr.Sset.empty
-      (Statealyzer.Varclass.vars_of_category classes Statealyzer.Varclass.Cfg_var
-      @ Statealyzer.Varclass.vars_of_category classes Statealyzer.Varclass.Ois_var)
-  in
-  {
-    Explore.mergeable_if =
-      (fun sid -> Joins.mergeable joins sid && Joins.chain_len joins sid >= min_chain);
-    admit_guard =
-      (fun atom ->
-        Sexpr.Sset.is_empty (Sexpr.Sset.inter (Sexpr.syms atom) banned));
-  }
+  if max_if_chain body < min_chain then None
+  else
+    let joins = Joins.of_block body in
+    let banned =
+      List.fold_left
+        (fun acc v -> Sexpr.Sset.add v acc)
+        Sexpr.Sset.empty
+        (Statealyzer.Varclass.vars_of_category classes Statealyzer.Varclass.Cfg_var
+        @ Statealyzer.Varclass.vars_of_category classes Statealyzer.Varclass.Ois_var)
+    in
+    Some
+      {
+        Explore.mergeable_if =
+          (fun sid -> Joins.mergeable joins sid && Joins.chain_len joins sid >= min_chain);
+        admit_guard =
+          (fun atom ->
+            Sexpr.Sset.is_empty (Sexpr.Sset.inter (Sexpr.syms atom) banned));
+      }
 
 let explore_stage ?(config = Explore.default_config) ?(merge = true) ~memo
     (p : Nfl.Ast.program) (classes : Statealyzer.Varclass.t) (sl : slices) =
@@ -221,7 +248,7 @@ let explore_stage ?(config = Explore.default_config) ?(merge = true) ~memo
   in
   let init = Interp.initial_state p in
   let env = symbolic_env ~classes ~init ~pkt_var:classes.Statealyzer.Varclass.pkt_var in
-  let merge = if merge then Some (merge_policy_of ~classes body_no_recv) else None in
+  let merge = if merge then merge_policy_of ~classes body_no_recv else None in
   Explore.block ~config ?merge ~memo ~env body_no_recv
 
 let refine_stage ~name (classes : Statealyzer.Varclass.t) (paths : Explore.path list) =

@@ -78,18 +78,25 @@ val sliced_body_of_union : Nfl.Ast.program -> int list -> Nfl.Ast.block
 
 val slice_stage : Nfl.Ast.program -> Statealyzer.Varclass.t -> slices
 
+val max_if_chain : Nfl.Ast.block -> int
+(** Longest run of branches outside loops, each the statement executed
+    right after the previous one — an upper bound on every
+    {!Joins.chain_len} over the block, computed without a CFG. *)
+
 val merge_policy_of :
   ?min_chain:int ->
   classes:Statealyzer.Varclass.t ->
   Nfl.Ast.block ->
-  Explore.merge_policy
+  Explore.merge_policy option
 (** Join-point merge policy for exploring a (sliced) loop body: merge
     at branches with a statement join point outside loop bodies, but
     only on diamond chains of at least [min_chain] (default 5)
     sequential branches — where the naive path count is exponential.
     Fold only branch atoms free of config/state symbols into [ite]
     guards (config splits stay separate entries, state predicates keep
-    per-path concrete verdicts for refinement). *)
+    per-path concrete verdicts for refinement). [None] when no run of
+    [min_chain] consecutive branches exists: merging could never fire,
+    so the join analysis is skipped. *)
 
 val explore_stage :
   ?config:Explore.config ->

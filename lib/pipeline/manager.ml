@@ -6,10 +6,12 @@ let passes =
 (* Implementation version folded into every pass fingerprint: bump when
    any stage's semantics or artifact encoding changes, so persisted
    caches from older builds read as stale instead of wrong. *)
-let stage_version = 3
+let stage_version = 4
 (* 2: match compiler v2 — FSM/decision-tree dispatch plans
    3: worklist explorer — merge/prune stats fields, ite terms in
-      artifacts, join-point merging behind the "merge" param *)
+      artifacts, join-point merging behind the "merge" param
+   4: the analyze artifact's [trials] reads 0 when the minimizer left
+      the table unchanged and skipped its differential gate *)
 
 type artifact =
   | A_canon of (Nfl.Ast.program * string)

@@ -51,10 +51,13 @@ dune exec bin/nfactor_cli.exe -- chain verify snort,firewall --invariant "never-
 # Static analyzer gates. Pre-minimization, the deliberately-redundant
 # firewall must lint dirty (its dead audit branch is only visible to
 # the bit-level implication lattice) and the minimizer must verify and
-# shrink it; post-minimization, every corpus NF must lint clean (no
-# errors or warnings).
+# shrink it, through its differential gate; an unchanged table (nat)
+# verifies with no gate replay; post-minimization, every corpus NF must
+# lint clean (no errors or warnings).
 dune exec bin/nfactor_cli.exe -- lint firewall_redundant --expect dirty
 dune exec bin/nfactor_cli.exe -- minimize firewall_redundant --check --json | grep -q '"verified": true'
+dune exec bin/nfactor_cli.exe -- minimize firewall_redundant --check --json | grep -Eq '"trials": [1-9][0-9]*}'
+dune exec bin/nfactor_cli.exe -- minimize nat --json | grep -q '"verified": true, "trials": 0}'
 for nf in $(dune exec bin/nfactor_cli.exe -- list | awk 'NR>1 {print $1}'); do
   dune exec bin/nfactor_cli.exe -- lint "$nf" --fix --expect clean > /dev/null
 done

@@ -303,6 +303,46 @@ let test_redundant_differential_10k () =
   Alcotest.(check int) "no output mismatches" 0 (List.length v.Equiv.mismatches);
   Alcotest.(check bool) "final stores equal" true stores_equal
 
+(* The interpreter's verdict on the same two tables and packets. *)
+let interp_verdict ~store ~pkts a b =
+  let v, stores_equal = Equiv.model_differential ~store ~pkts a b in
+  Equiv.ok v && stores_equal
+
+let test_gate_rejects_broken_candidates () =
+  (* Every one-entry break of the redundant firewall — an action
+     flipped to Drop, or the entry deleted — gets the interpreter's
+     verdict from the engine gate, and the breaks that change
+     behaviour are rejected. *)
+  let ex = Lazy.force redundant_ex in
+  let store = Model_interp.initial_store ex in
+  let m = ex.Extract.model in
+  let pkts = Analysis.Minimize.default_pkts () in
+  let with_entries entries = { m with Model.entries } in
+  let flips =
+    List.filter (fun e -> e.Model.pkt_action <> Model.Drop) m.Model.entries
+    |> List.map (fun e ->
+           with_entries
+             (List.map
+                (fun e' -> if e' == e then { e with Model.pkt_action = Model.Drop } else e')
+                m.Model.entries))
+  in
+  let deletions =
+    List.mapi (fun k _ -> with_entries (List.filteri (fun j _ -> j <> k) m.Model.entries))
+      m.Model.entries
+  in
+  let rejected =
+    List.filter
+      (fun cand ->
+        let gate = Analysis.Minimize.gate ~store ~pkts m cand in
+        Alcotest.(check bool) "gate agrees with the interpreter"
+          (interp_verdict ~store ~pkts m cand) gate;
+        not gate)
+  in
+  Alcotest.(check bool) "a flipped action is rejected" true (rejected flips <> []);
+  Alcotest.(check bool) "a deleted entry is rejected" true (rejected deletions <> []);
+  Alcotest.(check bool) "the original passes its own gate" true
+    (Analysis.Minimize.gate ~store ~pkts m m)
+
 (* --------------------------------------------------------------- *)
 (* Corpus-wide guarantees                                           *)
 (* --------------------------------------------------------------- *)
@@ -337,7 +377,26 @@ let test_corpus_minimize_exact () =
              List.equal Packet.Pkt.equal a.Nfactor_runtime.Engine.outputs
                b.Nfactor_runtime.Engine.outputs)
            outs_a outs_b
-        && Model_interp.Smap.equal Value.equal store_a store_b))
+        && Model_interp.Smap.equal Value.equal store_a store_b);
+      (* The gate runs on the engine; the interpreter re-checks every
+         table it let through, on traffic the gate never saw. An
+         unchanged table skips the gate. *)
+      let changed = o.Analysis.Minimize.minimized != o.Analysis.Minimize.original in
+      Alcotest.(check bool) (name ^ " gated iff changed") changed
+        (o.Analysis.Minimize.trials > 0);
+      if changed then begin
+        let fresh =
+          Packet.Traffic.random_stream ~seed:913 ~n:2000 ()
+          @ Packet.Traffic.flow_stream ~seed:914 ~flows:50 ~data_pkts:3 ()
+        in
+        let v, stores_equal =
+          Equiv.model_differential ~store ~pkts:fresh o.Analysis.Minimize.original
+            o.Analysis.Minimize.minimized
+        in
+        Alcotest.(check int) (name ^ " interpreter: no mismatches") 0
+          (List.length v.Equiv.mismatches);
+        Alcotest.(check bool) (name ^ " interpreter: stores equal") true stores_equal
+      end)
     Nfs.Corpus.all
 
 (* --------------------------------------------------------------- *)
@@ -347,12 +406,12 @@ let test_corpus_minimize_exact () =
 (* Small random tables over dport/sport predicates with Drop/send
    actions — adversarial shapes for the rewriter: random tables are
    full of genuine shadows, overlaps and mergeable neighbours. *)
-let random_model seed =
+let random_model ?(consts = [| 0; 1; 2; 3 |]) seed =
   let rng = Packet.Rng.create seed in
   let rand n = Packet.Rng.int rng n in
   let lit () =
     let fld = if rand 2 = 0 then dport else sport in
-    let c = i (rand 4) in
+    let c = i consts.(rand (Array.length consts)) in
     let atom =
       match rand 4 with
       | 0 -> cmp Nfl.Ast.Eq fld c
@@ -389,6 +448,117 @@ let prop_minimize_exact_and_never_larger =
         Equiv.model_differential ~store:store0 ~pkts:fresh m o.Analysis.Minimize.minimized
       in
       v.Equiv.mismatches = [] && eq)
+
+(* A candidate table one random edit away from [m]: an entry deleted,
+   an action flipped, a header rewrite added, two neighbours swapped,
+   or no edit at all. *)
+let mutate seed (m : Model.t) =
+  let rng = Packet.Rng.create (seed + 7) in
+  let es = m.Model.entries in
+  let n = List.length es in
+  let k = Packet.Rng.int rng n in
+  let entries =
+    let at_k f = List.mapi (fun j e -> if j = k then f e else e) es in
+    match Packet.Rng.int rng 5 with
+    | 0 -> List.filteri (fun j _ -> j <> k) es
+    | 1 ->
+        at_k (fun e ->
+            {
+              e with
+              Model.pkt_action = (if e.Model.pkt_action = Model.Drop then send else Model.Drop);
+            })
+    | 2 -> at_k (fun e -> { e with Model.pkt_action = Model.Forward [ [ ("ip_ttl", i 9) ] ] })
+    | 3 when k + 1 < n ->
+        let a = List.nth es k and b = List.nth es (k + 1) in
+        List.mapi (fun j e -> if j = k then b else if j = k + 1 then a else e) es
+    | _ -> es
+  in
+  { m with Model.entries }
+
+let prop_gate_matches_interpreter =
+  QCheck.Test.make ~name:"property: engine gate verdict == interpreter verdict" ~count:100
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let m = random_model seed in
+      let cand = mutate seed m in
+      let pkts = Verify.Testgen.base_palette @ Packet.Traffic.random_stream ~seed ~n:300 () in
+      Analysis.Minimize.gate ~store:store0 ~pkts m cand
+      = interp_verdict ~store:store0 ~pkts m cand)
+
+(* Brute-force witness reference: the concretized candidate, then the
+   palette in order, each checked with the interpreter's entry match. *)
+let ref_witness (m : Model.t) es =
+  let pkt_var = m.Model.pkt_var in
+  let lits (e : Model.entry) =
+    List.map (Verify.Testgen.resolve_config store0)
+      (e.Model.config @ e.Model.flow_match @ e.Model.state_match @ e.Model.residual_match)
+  in
+  let cands =
+    (match Solver.concretize (List.concat_map lits es) with
+    | Some asn -> [ Verify.Testgen.packet_of_assignment ~pkt_var asn ]
+    | None -> [])
+    @ Verify.Testgen.base_palette
+  in
+  List.find_opt
+    (fun p -> List.for_all (Model_interp.entry_matches ~pkt_var store0 p) es)
+    cands
+
+let ref_shadow_witness (m : Model.t) j =
+  match ref_witness m [ List.nth m.Model.entries j ] with
+  | Some p -> (
+      match (Model_interp.step m store0 p).Model_interp.matched with
+      | Some k when k < j -> Some p
+      | _ -> None)
+  | None -> None
+
+let same_witness = Option.equal Packet.Pkt.equal
+
+(* Witness-bearing findings equal the reference: every shadow finding
+   and every witnessed overlap carries the reference's packet, and
+   every pair the reference finds a common packet for (live entries,
+   differing actions, later one not shadowed) is reported. *)
+let witnesses_match ~ordered (m : Model.t) =
+  let r = Analysis.Lint.model_lint ~ordered ~store:store0 m in
+  let fs = r.Analysis.Lint.r_findings in
+  let es = Array.of_list m.Model.entries in
+  let on j k f = f.Analysis.Lint.f_entry = Some j && k f.Analysis.Lint.f_kind in
+  let dead j = List.exists (on j (( = ) Analysis.Lint.Dead)) fs in
+  let shadowed j =
+    List.exists
+      (fun f ->
+        on j (function Analysis.Lint.Shadowed _ -> true | _ -> false) f
+        && f.Analysis.Lint.f_proven)
+      fs
+  in
+  List.for_all
+    (fun (f : Analysis.Lint.finding) ->
+      match (f.Analysis.Lint.f_kind, f.Analysis.Lint.f_entry) with
+      | Analysis.Lint.Shadowed _, Some j ->
+          same_witness f.Analysis.Lint.f_witness (ref_shadow_witness m j)
+      | Analysis.Lint.Overlap i, Some j when not f.Analysis.Lint.f_proven ->
+          same_witness f.Analysis.Lint.f_witness (ref_witness m [ es.(i); es.(j) ])
+      | _ -> true)
+    fs
+  && List.for_all
+       (fun j ->
+         dead j || shadowed j
+         || List.for_all
+              (fun i ->
+                dead i
+                || es.(i).Model.pkt_action = es.(j).Model.pkt_action
+                || ref_witness m [ es.(i); es.(j) ] = None
+                || List.exists (on j (( = ) (Analysis.Lint.Overlap i))) fs)
+              (List.init j Fun.id))
+       (List.init (Array.length es) Fun.id)
+
+let prop_lint_witnesses_match_reference =
+  QCheck.Test.make ~name:"property: lint witnesses == brute-force palette scan" ~count:60
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      (* Constants from the palette's ports too, so entries match
+         palette packets and the palette search is exercised. *)
+      let m = random_model ~consts:[| 0; 1; 3; 53; 80; 443; 10000; 40001 |] seed in
+      witnesses_match ~ordered:false m && witnesses_match ~ordered:true m)
 
 (* --------------------------------------------------------------- *)
 (* The pipeline pass                                                 *)
@@ -471,9 +641,13 @@ let suite =
       test_redundant_minimizes;
     Alcotest.test_case "redundant firewall: 10k differential + churn" `Slow
       test_redundant_differential_10k;
+    Alcotest.test_case "gate rejects broken redundant-firewall candidates" `Quick
+      test_gate_rejects_broken_candidates;
     Alcotest.test_case "corpus-wide: minimize exact, never larger, post-clean" `Slow
       test_corpus_minimize_exact;
     QCheck_alcotest.to_alcotest prop_minimize_exact_and_never_larger;
+    QCheck_alcotest.to_alcotest prop_gate_matches_interpreter;
+    QCheck_alcotest.to_alcotest prop_lint_witnesses_match_reference;
     Alcotest.test_case "pipeline: analyze pass memoizes" `Quick test_pipeline_analyze_caches;
     Alcotest.test_case "pipeline: analyze artifact survives the disk store" `Quick
       test_pipeline_analyze_disk_roundtrip;

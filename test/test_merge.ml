@@ -286,6 +286,50 @@ let test_dpi_exponential_vs_merged () =
   Alcotest.(check bool) "unmerged overflows the default budget" true
     t.Extract.stats.Explore.overflowed
 
+(* The extraction's prefilter: [Extract.max_if_chain] must bound every
+   CFG diamond chain — also when a chain leaves a branch arm through
+   its last statement — or a merge could be skipped that would fire. *)
+let max_chain_len b =
+  let joins = Joins.of_block b in
+  List.fold_left (fun acc sid -> max acc (Joins.chain_len joins sid)) 0 (if_sids b)
+
+let check_prefilter_bound name b =
+  let bound = Extract.max_if_chain b and actual = max_chain_len b in
+  Alcotest.(check bool) (Printf.sprintf "%s: chain %d <= bound %d" name actual bound) true
+    (actual <= bound)
+
+let test_prefilter_bounds_chains () =
+  Alcotest.(check int) "straight chain is exact" 5 (Extract.max_if_chain (chain_block 5));
+  (* Two diamonds ending an arm rejoin at the two after the branch. *)
+  let tail =
+    parse_main
+      "main { x = 0; if (pkt.dport == 80) { if (pkt.sport == 1) { x = 1; } if \
+       (pkt.sport == 2) { x = 2; } } if (pkt.ip_len == 3) { x = 3; } if (pkt.ip_len == \
+       4) { x = 4; } send(pkt); }"
+  in
+  Alcotest.(check int) "arm tail continues the chain" 4 (max_chain_len tail);
+  Alcotest.(check int) "bound follows it out of the arm" 4 (Extract.max_if_chain tail);
+  let loop =
+    parse_main
+      "main { i = 0; while (i < 3) { if (pkt.dport == 80) { i = i + 2; } if (pkt.dport \
+       == 81) { i = i + 1; } i = i + 1; } send(pkt); }"
+  in
+  Alcotest.(check int) "loop bodies never chain" 0 (Extract.max_if_chain loop);
+  List.iter
+    (fun (e : Nfs.Corpus.entry) ->
+      let name = e.Nfs.Corpus.name in
+      let on, _ = extract_pair e in
+      let body =
+        List.filter (fun s -> not (Nfl.Builtins.is_pkt_input_stmt s)) on.Extract.sliced_body
+      in
+      check_prefilter_bound name body;
+      if List.mem name stress_names then begin
+        Alcotest.(check bool) (name ^ ": policy kept") true
+          (Extract.merge_policy_of ~classes:on.Extract.classes body <> None);
+        Alcotest.(check bool) (name ^ ": merges fire") true (on.Extract.stats.Explore.merges > 0)
+      end)
+    Nfs.Corpus.all
+
 (* Seed-varied traffic for the property; the (large, fixed) palette is
    replayed once by the deterministic corpus test below rather than on
    every property trial. *)
@@ -341,6 +385,8 @@ let suite =
     Alcotest.test_case "fork histogram flat under merging" `Quick
       test_fork_histogram_flat_under_merging;
     Alcotest.test_case "legacy models byte-identical" `Quick test_legacy_models_byte_identical;
+    Alcotest.test_case "prefilter bounds every diamond chain" `Quick
+      test_prefilter_bounds_chains;
     Alcotest.test_case "dpi: exponential naive, linear merged" `Quick
       test_dpi_exponential_vs_merged;
     Alcotest.test_case "corpus: merged differentially equal" `Quick
