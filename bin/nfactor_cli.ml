@@ -167,7 +167,7 @@ let paths_cmd =
         List.iteri
           (fun i (path : Symexec.Explore.path) ->
             Fmt.pr "path %d: %d stmt(s), %d literal(s), %s@." i
-              (List.length (List.sort_uniq compare path.Symexec.Explore.trace))
+              (List.length path.Symexec.Explore.trace)
               (List.length path.Symexec.Explore.pc)
               (match path.Symexec.Explore.sends with
               | [] -> "drop"

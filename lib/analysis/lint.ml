@@ -765,10 +765,8 @@ let pkt_of_sexp = function
       List.fold_left
         (fun p -> function
           | List [ Atom "payload"; Atom s ] -> Packet.Pkt.set_str p "payload" s
-          | List [ Atom f; Atom n ] -> (
-              match int_of_string_opt n with
-              | Some n -> Packet.Pkt.set_int p f n
-              | None -> raise (Parse_error ("witness field " ^ f)))
+          | List [ Atom f; Atom n ] when List.mem f Packet.Headers.int_fields ->
+              Packet.Pkt.set_int p f (int_atom n)
           | _ -> raise (Parse_error "witness field"))
         Model_interp.null_pkt fields
   | _ -> raise (Parse_error "witness")
@@ -785,10 +783,10 @@ let sexp_of_kind = function
 
 let kind_of_sexp = function
   | List [ Atom "dead" ] -> Dead
-  | List [ Atom "shadowed"; Atom i ] -> Shadowed (int_of_string i)
+  | List [ Atom "shadowed"; Atom i ] -> Shadowed (int_atom i)
   | List [ Atom "config-dead" ] -> Config_dead
-  | List [ Atom "overlap"; Atom i ] -> Overlap (int_of_string i)
-  | List [ Atom "unreachable-state"; Atom s ] -> Unreachable_state (int_of_string s)
+  | List [ Atom "overlap"; Atom i ] -> Overlap (int_atom i)
+  | List [ Atom "unreachable-state"; Atom s ] -> Unreachable_state (int_atom s)
   | List [ Atom "unwritable-state"; Atom v ] -> Unwritable_state v
   | List [ Atom "dead-write"; Atom v ] -> Dead_write v
   | List [ Atom "chain-dead-write"; Atom h; Atom f ] -> Chain_dead_write (h, f)
@@ -818,7 +816,7 @@ let finding_of_sexp = function
       {
         f_entry =
           (match entry with
-          | Atom n -> Some (int_of_string n)
+          | Atom n -> Some (int_atom n)
           | List [] -> None
           | _ -> raise (Parse_error "finding entry"));
         f_kind = kind_of_sexp kind;
@@ -828,7 +826,7 @@ let finding_of_sexp = function
           | "warning" -> Warning
           | "error" -> Error
           | _ -> raise (Parse_error "finding severity"));
-        f_proven = bool_of_string proven;
+        f_proven = bool_atom proven;
         f_witness = (match witness with List [] -> None | s -> Some (pkt_of_sexp s));
         f_message = msg;
       }
@@ -853,7 +851,7 @@ let report_of_string s =
         List [ Atom "nf"; Atom nf ];
         List (Atom "findings" :: fs);
       ]
-    when int_of_string_opt v = Some report_version ->
+    when int_atom v = report_version ->
       { r_nf = nf; r_findings = List.map finding_of_sexp fs }
   | _ -> raise (Parse_error "lint-report")
 

@@ -280,7 +280,7 @@ let refine_stage ~name (classes : Statealyzer.Varclass.t) (paths : Explore.path 
           residual_match = List.rev other_l;
           pkt_action;
           state_update = state_updates_of_path ~ois_vars path;
-          path_sids = distinct_sorted path.Explore.trace;
+          path_sids = path.Explore.trace;
           truncated = path.Explore.truncated;
         })
       paths

@@ -101,7 +101,7 @@ let measure ?(config = Explore.default_config) ?(se_budget = 1000) ?ex ~name ~so
   let loc_path_max =
     List.fold_left
       (fun acc (p : Explore.path) ->
-        max acc (List.length (List.sort_uniq compare p.Explore.trace)))
+        max acc (List.length p.Explore.trace))
       0 ex.Extract.paths
   in
   ( ex,

@@ -1,9 +1,9 @@
 open Symexec
 open Nfactor.Model_io
 
-(* All serializers reuse Model_io's s-expression layer (and its term /
-   literal encoders), so artifacts inherit the same totality and
-   re-interning behavior as model files. *)
+(* All serializers reuse Model_io's s-expression layer and term table,
+   so artifacts inherit the same totality and re-interning behavior as
+   model files. *)
 
 let program_to_string (p : Nfl.Ast.program) = Nfl.Pretty.program p
 let program_of_string src = Nfl.Parser.program src
@@ -11,12 +11,13 @@ let program_of_string src = Nfl.Parser.program src
 let err what s = raise (Parse_error (what ^ ": " ^ sexp_to_string s))
 
 let atom = function Atom s -> s | s -> err "expected atom" s
-let int_atom s = int_of_string (atom s)
-let bool_atom s = bool_of_string (atom s)
+let int_of s = int_atom (atom s)
+let bool_of s = bool_atom (atom s)
 
 (* Floats round-trip exactly through the hexadecimal literal notation
    (%h), which stays inside the unquoted atom alphabet. *)
-let float_atom s = float_of_string (atom s)
+let float_of s =
+  match float_of_string_opt (atom s) with Some f -> f | None -> err "bad float" s
 let float_to_atom f = Atom (Printf.sprintf "%h" f)
 
 (* ------------------------------------------------------------------ *)
@@ -82,11 +83,11 @@ let classes_of_string ~canon input =
         | List [ Atom v; p; tl; u; oi; lc ] ->
             ( v,
               {
-                Statealyzer.Varclass.persistent = bool_atom p;
-                top_level = bool_atom tl;
-                updateable = bool_atom u;
-                output_impacting = bool_atom oi;
-                loop_carried = bool_atom lc;
+                Statealyzer.Varclass.persistent = bool_of p;
+                top_level = bool_of tl;
+                updateable = bool_of u;
+                output_impacting = bool_of oi;
+                loop_carried = bool_of lc;
               } )
         | s -> err "bad feature" s
       in
@@ -99,7 +100,7 @@ let classes_of_string ~canon input =
         Statealyzer.Varclass.pkt_var;
         features = List.map feature features;
         categories = List.map category categories;
-        pkt_slice = List.map int_atom pkt_slice;
+        pkt_slice = List.map int_of pkt_slice;
         loop_body;
       }
   | s -> err "not an nfactor-classes document" s
@@ -129,10 +130,10 @@ let slices_of_string ~canon input =
         List (Atom "state" :: state);
         List (Atom "union" :: union);
       ] ->
-      let union = List.map int_atom union in
+      let union = List.map int_of union in
       {
-        Nfactor.Extract.sl_pkt = List.map int_atom pkt;
-        sl_state = List.map int_atom state;
+        Nfactor.Extract.sl_pkt = List.map int_of pkt;
+        sl_state = List.map int_of state;
         sl_union = union;
         sl_body = Nfactor.Extract.sliced_body_of_union canon union;
       }
@@ -142,107 +143,9 @@ let slices_of_string ~canon input =
 (* Exploration result (paths + stats)                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The term layer is hash-consed, and path environments replicate the
-   same configuration/state terms across every path (snort's rule
-   table alone dwarfs the rest of the artifact). Exprs are therefore
-   serialized as a DAG: one topologically ordered definition table in
-   which each distinct term appears exactly once, and every expression
-   position elsewhere in the document is an index into it. This turns
-   the dominant O(paths x term-size) payload into
-   O(paths + distinct terms) and makes warm loads cheap. *)
-
-type term_enc = {
-  mutable defs_rev : sexp list;
-  mutable next : int;
-  enc_index : (int, int) Hashtbl.t;  (* Sexpr.id -> definition index *)
-}
-
-let term_enc () = { defs_rev = []; next = 0; enc_index = Hashtbl.create 256 }
-
-let rec eref enc e =
-  match Hashtbl.find_opt enc.enc_index (Sexpr.id e) with
-  | Some i -> Atom (string_of_int i)
-  | None ->
-      (* Children first: definitions only reference smaller indices. *)
-      let def =
-        match Sexpr.view e with
-        | Sexpr.Const v -> List [ Atom "c"; sexp_of_value v ]
-        | Sexpr.Sym s -> List [ Atom "y"; Atom s ]
-        | Sexpr.Bin (op, a, b) -> List [ Atom "b"; Atom (binop_name op); eref enc a; eref enc b ]
-        | Sexpr.Not a -> List [ Atom "n"; eref enc a ]
-        | Sexpr.Neg a -> List [ Atom "e"; eref enc a ]
-        | Sexpr.Tup es -> List (Atom "t" :: List.map (eref enc) es)
-        | Sexpr.Lst es -> List (Atom "l" :: List.map (eref enc) es)
-        | Sexpr.Get (a, b) -> List [ Atom "g"; eref enc a; eref enc b ]
-        | Sexpr.Ufun (f, args) -> List (Atom "u" :: Atom f :: List.map (eref enc) args)
-        | Sexpr.Mem (d, k) -> List [ Atom "m"; dref enc d; eref enc k ]
-        | Sexpr.Dget (d, k) -> List [ Atom "d"; dref enc d; eref enc k ]
-        | Sexpr.Ite (g, a, b) -> List [ Atom "i"; eref enc g; eref enc a; eref enc b ]
-      in
-      let i = enc.next in
-      enc.next <- i + 1;
-      enc.defs_rev <- def :: enc.defs_rev;
-      Hashtbl.replace enc.enc_index (Sexpr.id e) i;
-      Atom (string_of_int i)
-
-and dref enc (d : Sexpr.dict_state) =
-  List
-    (Atom d.Sexpr.base
-    :: List.map
-         (fun (k, v) ->
-           match v with
-           | Some value -> List [ Atom "s"; eref enc k; eref enc value ]
-           | None -> List [ Atom "x"; eref enc k ])
-         d.Sexpr.writes)
-
-(* Decoding folds the definition table left to right through the smart
-   constructors (re-interning, exactly like model deserialization);
-   references resolve against the already-rebuilt prefix. *)
-type term_dec = { terms : Sexpr.t array; mutable filled : int }
-
-let tref dec s =
-  let i = int_atom s in
-  if i < 0 || i >= dec.filled then err "forward term reference" s else dec.terms.(i)
-
-let dict_of_def dec = function
-  | List (Atom base :: writes) ->
-      {
-        Sexpr.base;
-        writes =
-          List.map
-            (function
-              | List [ Atom "s"; k; v ] -> (tref dec k, Some (tref dec v))
-              | List [ Atom "x"; k ] -> (tref dec k, None)
-              | s -> err "bad dict write" s)
-            writes;
-      }
-  | s -> err "bad dict state" s
-
-let term_dec defs =
-  let dec = { terms = Array.make (List.length defs) Sexpr.tru; filled = 0 } in
-  List.iter
-    (fun def ->
-      let e =
-        match def with
-        | List [ Atom "c"; v ] -> Sexpr.const (value_of_sexp v)
-        | List [ Atom "y"; Atom s ] -> Sexpr.sym s
-        | List [ Atom "b"; Atom op; a; b ] ->
-            Sexpr.mk_bin (binop_of_name op) (tref dec a) (tref dec b)
-        | List [ Atom "n"; a ] -> Sexpr.mk_not (tref dec a)
-        | List [ Atom "e"; a ] -> Sexpr.mk_neg (tref dec a)
-        | List (Atom "t" :: es) -> Sexpr.mk_tuple (List.map (tref dec) es)
-        | List (Atom "l" :: es) -> Sexpr.mk_list (List.map (tref dec) es)
-        | List [ Atom "g"; a; b ] -> Sexpr.mk_get (tref dec a) (tref dec b)
-        | List (Atom "u" :: Atom f :: args) -> Sexpr.mk_ufun f (List.map (tref dec) args)
-        | List [ Atom "m"; d; k ] -> Sexpr.mk_mem (dict_of_def dec d) (tref dec k)
-        | List [ Atom "d"; d; k ] -> Sexpr.mk_dget (dict_of_def dec d) (tref dec k)
-        | List [ Atom "i"; g; a; b ] -> Sexpr.mk_ite (tref dec g) (tref dec a) (tref dec b)
-        | s -> err "bad term definition" s
-      in
-      dec.terms.(dec.filled) <- e;
-      dec.filled <- dec.filled + 1)
-    defs;
-  dec
+(* Path environments replicate the same configuration/state terms
+   across every path (snort's rule table alone dwarfs the rest of the
+   artifact), so terms go through Model_io's shared table. *)
 
 let rec sval_to_sexp enc = function
   | Explore.Scalar e -> List [ Atom "scalar"; eref enc e ]
@@ -260,23 +163,15 @@ let rec sval_of_sexp dec = function
              | List [ Atom f; e ] -> (f, tref dec e)
              | s -> err "bad packet field" s)
            fields)
-  | List [ Atom "dict"; d ] -> Explore.Dictv (dict_of_def dec d)
+  | List [ Atom "dict"; d ] -> Explore.Dictv (dict_of_ref dec d)
   | List (Atom "vals" :: vs) -> Explore.Listv (List.map (sval_of_sexp dec) vs)
   | s -> err "bad sval" s
-
-let sexp_of_lit enc (l : Solver.literal) =
-  List [ Atom (if l.Solver.positive then "+" else "-"); eref enc l.Solver.atom ]
-
-let lit_of_sexp dec = function
-  | List [ Atom "+"; a ] -> Solver.lit (tref dec a) true
-  | List [ Atom "-"; a ] -> Solver.lit (tref dec a) false
-  | s -> err "bad literal" s
 
 let sexp_of_path enc (p : Explore.path) =
   List
     [
       Atom "path";
-      List (Atom "pc" :: List.map (sexp_of_lit enc) p.Explore.pc);
+      List (Atom "pc" :: List.map (sexp_of_literal enc) p.Explore.pc);
       List (Atom "trace" :: sids p.Explore.trace);
       List
         (Atom "sends"
@@ -303,8 +198,8 @@ let path_of_sexp dec = function
         List [ Atom "truncated"; trunc ];
       ] ->
       {
-        Explore.pc = List.map (lit_of_sexp dec) pc;
-        trace = List.map int_atom trace;
+        Explore.pc = List.map (literal_of_sexp dec) pc;
+        trace = List.map int_of trace;
         sends =
           List.map
             (function
@@ -323,7 +218,7 @@ let path_of_sexp dec = function
               | List [ Atom v; sv ] -> Explore.Smap.add v (sval_of_sexp dec sv) acc
               | s -> err "bad env binding" s)
             Explore.Smap.empty env;
-        truncated = bool_atom trunc;
+        truncated = bool_of trunc;
       }
   | s -> err "bad path" s
 
@@ -369,25 +264,25 @@ let stats_of_sexp = function
         List [ Atom "prunes"; prunes ];
       ] ->
       {
-        Explore.paths = int_atom paths;
-        truncated_paths = int_atom truncated_paths;
-        decides = int_atom decides;
-        solver_calls = int_atom solver_calls;
-        solver_cache_hits = int_atom cache_hits;
-        solver_cache_misses = int_atom cache_misses;
-        solver_time_s = float_atom solver_time;
-        forks = int_atom forks;
-        max_fork_depth = int_atom max_fork_depth;
+        Explore.paths = int_of paths;
+        truncated_paths = int_of truncated_paths;
+        decides = int_of decides;
+        solver_calls = int_of solver_calls;
+        solver_cache_hits = int_of cache_hits;
+        solver_cache_misses = int_of cache_misses;
+        solver_time_s = float_of solver_time;
+        forks = int_of forks;
+        max_fork_depth = int_of max_fork_depth;
         fork_depths =
           List.fold_left
             (fun acc b ->
               match b with
-              | List [ d; n ] -> Explore.Imap.add (int_atom d) (int_atom n) acc
+              | List [ d; n ] -> Explore.Imap.add (int_of d) (int_of n) acc
               | s -> err "bad fork-depth bucket" s)
             Explore.Imap.empty fork_depths;
-        overflowed = bool_atom overflowed;
-        merges = int_atom merges;
-        prunes = int_atom prunes;
+        overflowed = bool_of overflowed;
+        merges = int_of merges;
+        prunes = int_of prunes;
       }
   | s -> err "bad stats" s
 
@@ -399,7 +294,7 @@ let paths_to_string ((paths, stats) : Explore.path list * Explore.stats) =
   sexp_to_string
     (List
        (Atom "nfactor-paths"
-       :: List (Atom "terms" :: List.rev enc.defs_rev)
+       :: terms_sexp enc
        :: sexp_of_stats stats :: path_sexps))
 
 let paths_of_string input =
@@ -413,20 +308,26 @@ let paths_of_string input =
 (* Analyzer results (lint reports + minimization outcome)             *)
 (* ------------------------------------------------------------------ *)
 
-let analysis_version = 1
+let analysis_version = 2
 
+(* The original and minimized models share most of their terms, so
+   both go under one term table. *)
 let analysis_to_string
     ((pre, outcome, post) :
       Analysis.Lint.report * Analysis.Minimize.outcome * Analysis.Lint.report) =
   let o = outcome in
+  let enc = term_enc () in
+  let original = model_fields enc o.Analysis.Minimize.original in
+  let minimized = model_fields enc o.Analysis.Minimize.minimized in
   sexp_to_string
     (List
        [
          Atom "nfactor-analysis";
          Atom (string_of_int analysis_version);
+         terms_sexp enc;
          List [ Atom "pre"; Atom (Analysis.Lint.report_to_string pre) ];
-         List [ Atom "original"; Atom (Nfactor.Model_io.to_string o.Analysis.Minimize.original) ];
-         List [ Atom "minimized"; Atom (Nfactor.Model_io.to_string o.Analysis.Minimize.minimized) ];
+         List (Atom "original" :: original);
+         List (Atom "minimized" :: minimized);
          List
            [
              Atom "stats";
@@ -447,24 +348,26 @@ let analysis_of_string input =
       [
         Atom "nfactor-analysis";
         v;
+        List (Atom "terms" :: defs);
         List [ Atom "pre"; Atom pre ];
-        List [ Atom "original"; Atom original ];
-        List [ Atom "minimized"; Atom minimized ];
+        List (Atom "original" :: original);
+        List (Atom "minimized" :: minimized);
         List [ Atom "stats"; dead; shadowed; merged; widened; iters; verified; trials ];
         List [ Atom "post"; Atom post ];
       ]
-    when int_atom v = analysis_version ->
+    when int_of v = analysis_version ->
+      let dec = term_dec defs in
       ( Analysis.Lint.report_of_string pre,
         {
-          Analysis.Minimize.original = Nfactor.Model_io.of_string original;
-          minimized = Nfactor.Model_io.of_string minimized;
-          deleted_dead = int_atom dead;
-          deleted_shadowed = int_atom shadowed;
-          merged = int_atom merged;
-          widened_literals = int_atom widened;
-          iterations = int_atom iters;
-          verified = bool_atom verified;
-          trials = int_atom trials;
+          Analysis.Minimize.original = model_of_fields dec original;
+          minimized = model_of_fields dec minimized;
+          deleted_dead = int_of dead;
+          deleted_shadowed = int_of shadowed;
+          merged = int_of merged;
+          widened_literals = int_of widened;
+          iterations = int_of iters;
+          verified = bool_of verified;
+          trials = int_of trials;
         },
         Analysis.Lint.report_of_string post )
   | s -> err "not an nfactor-analysis document" s

@@ -36,16 +36,18 @@ val slices_of_string : canon:Nfl.Ast.program -> string -> Nfactor.Extract.slices
 val paths_to_string : Explore.path list * Explore.stats -> string
 
 val paths_of_string : string -> Explore.path list * Explore.stats
-(** Terms re-intern through the smart constructors, exactly like model
-    deserialization; the stats are the recorded exploration's. *)
+(** Terms go through {!Nfactor.Model_io}'s term table and re-intern
+    through the smart constructors, exactly like model documents; the
+    stats are the recorded exploration's. *)
 
 val analysis_to_string :
   Analysis.Lint.report * Analysis.Minimize.outcome * Analysis.Lint.report -> string
 (** The analyze-pass artifact: pre-minimization lint report, the
     minimization outcome (original + minimized models and rewrite
-    counters), and the lint report of the minimized table. *)
+    counters), and the lint report of the minimized table. The two
+    models share one {!Nfactor.Model_io} term table. *)
 
 val analysis_of_string :
   string -> Analysis.Lint.report * Analysis.Minimize.outcome * Analysis.Lint.report
-(** Models re-intern through {!Nfactor.Model_io}; witness packets
+(** Models re-intern through the shared term table; witness packets
     rebuild field-by-field. *)

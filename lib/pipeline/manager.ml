@@ -6,12 +6,14 @@ let passes =
 (* Implementation version folded into every pass fingerprint: bump when
    any stage's semantics or artifact encoding changes, so persisted
    caches from older builds read as stale instead of wrong. *)
-let stage_version = 4
+let stage_version = 5
 (* 2: match compiler v2 — FSM/decision-tree dispatch plans
    3: worklist explorer — merge/prune stats fields, ite terms in
       artifacts, join-point merging behind the "merge" param
    4: the analyze artifact's [trials] reads 0 when the minimizer left
-      the table unchanged and skipped its differential gate *)
+      the table unchanged and skipped its differential gate
+   5: model documents v3 (one term table); the analyze artifact holds
+      both models under one table; path traces are statement sets *)
 
 type artifact =
   | A_canon of (Nfl.Ast.program * string)

@@ -24,6 +24,7 @@
 
 module Smap = Map.Make (String)
 module Imap = Map.Make (Int)
+module Iset = Set.Make (Int)
 
 exception Unsupported of string
 
@@ -88,7 +89,7 @@ type merge_policy = {
 
 type path = {
   pc : Solver.literal list;  (** path condition, in decision order *)
-  trace : int list;  (** executed statement ids, in order *)
+  trace : int list;  (** executed statement ids, ascending and distinct *)
   sends : (string * Sexpr.t) list list;  (** snapshots of packets sent *)
   env : sval Smap.t;  (** final symbolic store *)
   truncated : bool;  (** loop bound or step budget hit *)
@@ -116,7 +117,7 @@ type stats = {
 type pstate = {
   mutable env : sval Smap.t;
   mutable pc_rev : Solver.literal list;
-  mutable trace_rev : int list;
+  mutable trace : Iset.t;  (** executed statement ids *)
   mutable sends_rev : (string * Sexpr.t) list list;
   mutable iters : int Imap.t;  (** loop sid -> iterations on this path *)
   mutable steps : int;
@@ -151,7 +152,7 @@ let copy ps =
   {
     env = ps.env;
     pc_rev = ps.pc_rev;
-    trace_rev = ps.trace_rev;
+    trace = ps.trace;
     sends_rev = ps.sends_rev;
     iters = ps.iters;
     steps = ps.steps;
@@ -295,15 +296,6 @@ let rec merge_sval g a b =
       Listv (List.map2 (merge_sval g) la lb)
   | (Scalar _ | Pktv _ | Dictv _ | Listv _), _ -> raise Incompatible
 
-(* Merged trace: [a]'s statements plus whichever of [b]'s the first arm
-   did not execute (order-stable within [b]). The trace feeds coverage
-   and slicing, where the set of executed sids is what matters. *)
-let merge_trace a_rev b_rev =
-  let module Iset = Set.Make (Int) in
-  let seen = Iset.of_list a_rev in
-  let extras = List.filter (fun sid -> not (Iset.mem sid seen)) b_rev in
-  extras @ a_rev
-
 (* Try to fold state [b] into state [a]. The two path conditions must
    share a common prefix and then diverge on {e complementary} head
    literals (same atom, opposite polarity) — this keeps merged path
@@ -364,7 +356,7 @@ let merge2 (pol : merge_policy) (a : pstate) (b : pstate) : pstate option =
       {
         env;
         pc_rev;
-        trace_rev = merge_trace a.trace_rev b.trace_rev;
+        trace = Iset.union a.trace b.trace;
         sends_rev;
         iters = a.iters;
         steps = max a.steps b.steps;
@@ -418,7 +410,7 @@ let sync_ctx t (target_rev : Solver.literal list) =
 let bump_expected = function None -> () | Some j -> j.expected <- j.expected + 1
 
 let tick t ps (s : Nfl.Ast.stmt) on_finish =
-  ps.trace_rev <- s.Nfl.Ast.sid :: ps.trace_rev;
+  ps.trace <- Iset.add s.Nfl.Ast.sid ps.trace;
   ps.steps <- ps.steps + 1;
   if ps.steps > t.cfgc.max_steps then begin
     (* Record the partial path as truncated rather than dropping it
@@ -477,7 +469,7 @@ let rec finish t ps =
   t.done_paths <-
     {
       pc = List.rev ps.pc_rev;
-      trace = List.rev ps.trace_rev;
+      trace = Iset.elements ps.trace;
       sends = List.rev ps.sends_rev;
       env = ps.env;
       truncated = ps.truncated;
@@ -737,7 +729,7 @@ let block ?(config = default_config) ?merge ?memo ~env (b : Nfl.Ast.block) =
     {
       env;
       pc_rev = [];
-      trace_rev = [];
+      trace = Iset.empty;
       sends_rev = [];
       iters = Imap.empty;
       steps = 0;

@@ -68,7 +68,9 @@ type merge_policy = {
 
 type path = {
   pc : Solver.literal list;  (** path condition, in decision order *)
-  trace : int list;  (** executed statement ids, in order *)
+  trace : int list;
+      (** executed statement ids, ascending and distinct: a merged
+          state executed the union of its arms' statements *)
   sends : (string * Sexpr.t) list list;  (** snapshots of packets sent *)
   env : sval Smap.t;  (** final symbolic store *)
   truncated : bool;  (** a loop or step budget was hit *)

@@ -21,13 +21,19 @@ dune exec bin/nfactor_cli.exe -- run -n 5000 --shards 2 --check nat
 dune exec bin/nfactor_cli.exe -- run -n 5000 --shards 2 --churn 500 --check portknock
 dune exec bin/nfactor_cli.exe -- run -n 5000 --shards 2 --json nat | grep -q '"scan_hits": 0'
 
-# Pass-pipeline cache gate: synthesize the corpus twice through one
-# on-disk artifact store. The second run must be a pure replay (zero
-# recomputed passes) and must reproduce byte-identical models.
+# Pass-pipeline cache gate: synthesize and analyze the corpus twice
+# through one on-disk artifact store. The cold run's store must stay
+# under 1 MB (documents share terms through one table, so they grow
+# with distinct terms, not tree size); the second run must be a pure
+# replay (zero recomputed passes) and must reproduce byte-identical
+# models.
 CACHE_DIR=$(mktemp -d)
 trap 'rm -rf "$CACHE_DIR"' EXIT
-dune exec bin/nfactor_cli.exe -- synth-all --cache-dir "$CACHE_DIR" --json > synth_cold.json
-dune exec bin/nfactor_cli.exe -- synth-all --cache-dir "$CACHE_DIR" --json > synth_warm.json
+dune exec bin/nfactor_cli.exe -- synth-all --cache-dir "$CACHE_DIR" --stats --json > synth_cold.json
+CACHE_BYTES=$(cat "$CACHE_DIR"/* | wc -c)
+echo "cache directory: $CACHE_BYTES bytes"
+test "$CACHE_BYTES" -le 1048576
+dune exec bin/nfactor_cli.exe -- synth-all --cache-dir "$CACHE_DIR" --stats --json > synth_warm.json
 grep -q '"misses": 0' synth_warm.json
 grep -q '"hit_rate_pct": 100.0' synth_warm.json
 # model_md5 lines must agree between the cold and the warm run

@@ -114,16 +114,18 @@ let test_lint_dead_entry () =
       Alcotest.(check (option int)) "entry 0" (Some 0) f.Analysis.Lint.f_entry
   | fs -> Alcotest.failf "expected exactly one dead finding, got %d" (List.length fs)
 
+(* Entry 0 matches dport >= 0 (everything); entry 1 matches dport == 80:
+   fully shadowed. *)
+let shadowed_model =
+  model
+    [
+      entry ~flow:[ pos (cmp Nfl.Ast.Ge dport (i 0)) ] ~action:send ();
+      entry ~flow:[ pos (cmp Nfl.Ast.Eq dport (i 80)) ] ();
+    ]
+
+(* The shadowed finding's witness must replay. *)
 let test_lint_shadowed_with_witness () =
-  (* Entry 0 matches dport >= 0 (everything); entry 1 matches dport == 80:
-     fully shadowed, and the witness must replay. *)
-  let m =
-    model
-      [
-        entry ~flow:[ pos (cmp Nfl.Ast.Ge dport (i 0)) ] ~action:send ();
-        entry ~flow:[ pos (cmp Nfl.Ast.Eq dport (i 80)) ] ();
-      ]
-  in
+  let m = shadowed_model in
   let r = Analysis.Lint.model_lint ~store:store0 m in
   match find_kind r (function Analysis.Lint.Shadowed _ -> true | _ -> false) with
   | [ f ] ->
@@ -259,7 +261,35 @@ let test_report_roundtrip () =
         (a.Analysis.Lint.f_kind = b.Analysis.Lint.f_kind
         && a.Analysis.Lint.f_severity = b.Analysis.Lint.f_severity
         && a.Analysis.Lint.f_entry = b.Analysis.Lint.f_entry))
-    r.Analysis.Lint.r_findings r'.Analysis.Lint.r_findings
+    r.Analysis.Lint.r_findings r'.Analysis.Lint.r_findings;
+  (* Malformed atoms and unknown witness fields are the declared
+     error, not [Failure] or [Invalid_argument]. *)
+  let text =
+    Analysis.Lint.report_to_string (Analysis.Lint.model_lint ~store:store0 shadowed_model)
+  in
+  List.iter
+    (fun (from, into) ->
+      let bad = Str.global_replace (Str.regexp_string from) into text in
+      Alcotest.(check bool) (from ^ " edited") true (bad <> text);
+      match Analysis.Lint.report_of_string bad with
+      | exception Model_io.Parse_error _ -> ()
+      | exception e -> Alcotest.failf "%s -> %s: leaked %s" from into (Printexc.to_string e)
+      | _ -> Alcotest.failf "%s -> %s: accepted" from into)
+    [ ("(proven true)", "(proven maybe)"); ("(dport ", "(dportx "); ("(shadowed ", "(shadowed x") ]
+
+let prop_report_decoder_total =
+  Test_model_io.decoder_total
+    ~name:"lint: report_of_string on mutated reports raises only Parse_error" ~count:300
+    (lazy
+      (Array.of_list
+         (Analysis.Lint.report_to_string (Analysis.Lint.model_lint ~store:store0 shadowed_model)
+         :: List.map
+              (fun name ->
+                let e = Option.get (Nfs.Corpus.find name) in
+                Analysis.Lint.report_to_string
+                  (Analysis.Lint.run (Extract.run ~name (e.Nfs.Corpus.program ()))))
+              [ "firewall_redundant"; "ips"; "portknock"; "dpi" ])))
+    Analysis.Lint.report_of_string
 
 (* --------------------------------------------------------------- *)
 (* The redundant firewall end to end                                *)
@@ -636,6 +666,7 @@ let suite =
     Alcotest.test_case "lint: unwritable state guard" `Quick test_lint_unwritable_state;
     Alcotest.test_case "lint: chain-hop dead write" `Quick test_chain_dead_write;
     Alcotest.test_case "lint: report serialization round-trips" `Quick test_report_roundtrip;
+    QCheck_alcotest.to_alcotest prop_report_decoder_total;
     Alcotest.test_case "redundant firewall lints dirty" `Quick test_redundant_is_dirty;
     Alcotest.test_case "redundant firewall minimizes >= 20%, post-clean" `Quick
       test_redundant_minimizes;

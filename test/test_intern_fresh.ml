@@ -68,6 +68,26 @@ let test_fresh_table_roundtrip () =
         (e''.Model.config @ e''.Model.flow_match @ e''.Model.state_match))
     m'.Model.entries m''.Model.entries
 
+(* dpi's model is a DAG of merged ite summaries: its version-3 table
+   rebuilt in a fresh intern table must print back to the same text,
+   which fixes both the term structure and the sharing. *)
+let test_fresh_table_v3_dag () =
+  let text = Model_io.to_string (extract "dpi").Extract.model in
+  Sexpr.unsafe_reset_intern ();
+  let m = Model_io.of_string text in
+  Alcotest.(check string) "same text from a fresh table" text (Model_io.to_string m);
+  Alcotest.(check bool) "ite summaries survive" true
+    (List.exists
+       (fun (e : Model.entry) ->
+         List.exists
+           (fun (l : Solver.literal) ->
+             match Sexpr.view l.Solver.atom with
+             | Sexpr.Bin (_, a, _) -> (
+                 match Sexpr.view a with Sexpr.Ite _ -> true | _ -> false)
+             | _ -> false)
+           e.Model.flow_match)
+       m.Model.entries)
+
 let test_fresh_table_counts_restart () =
   (* Pinned constants survive the reset; everything else is gone. *)
   ignore (Sexpr.mk_bin Nfl.Ast.Add (Sexpr.sym "a") (Sexpr.sym "b"));
@@ -86,6 +106,7 @@ let () =
       ( "fresh-table",
         [
           Alcotest.test_case "model_io roundtrip" `Quick test_fresh_table_roundtrip;
+          Alcotest.test_case "model_io v3 roundtrip (ite DAG)" `Quick test_fresh_table_v3_dag;
           Alcotest.test_case "reset restarts the table" `Quick
             test_fresh_table_counts_restart;
         ] );

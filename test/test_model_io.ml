@@ -10,8 +10,19 @@ let test_roundtrip_all_nfs () =
   List.iter
     (fun name ->
       let m = (extract_nf name).Extract.model in
-      let m' = Model_io.of_string (Model_io.to_string m) in
-      Alcotest.(check string) (name ^ " roundtrips") (Model.to_string m) (Model.to_string m'))
+      let text = Model_io.to_string m in
+      let m' = Model_io.of_string text in
+      Alcotest.(check string) (name ^ " roundtrips") (Model.to_string m) (Model.to_string m');
+      Alcotest.(check string) (name ^ " text is a fixpoint") text (Model_io.to_string m'))
+    Nfs.Corpus.names
+
+(* The term table keeps every document linear in its distinct terms:
+   dpi's merged ite summaries once rendered as a 600 KB tree. *)
+let test_document_size () =
+  List.iter
+    (fun name ->
+      let bytes = String.length (Model_io.to_string (extract_nf name).Extract.model) in
+      if bytes > 8192 then Alcotest.failf "%s: %d-byte model document (limit 8192)" name bytes)
     Nfs.Corpus.names
 
 (* The reparsed model is behaviourally identical, not just textually:
@@ -71,11 +82,17 @@ let test_expr_roundtrip () =
       Sexpr.mk_dget d (Sexpr.mk_tuple [ Sexpr.sym "a"; Sexpr.sym "b" ]);
     ]
   in
-  List.iter
-    (fun e ->
-      let e' = Model_io.expr_of_sexp (Model_io.parse_sexp (Model_io.sexp_to_string (Model_io.sexp_of_expr e))) in
-      Alcotest.(check bool) (Sexpr.to_string e) true (Sexpr.equal e e'))
-    cases
+  let enc = Model_io.term_enc () in
+  let refs = List.map (Model_io.eref enc) cases in
+  let text = Model_io.sexp_to_string (Model_io.List (Model_io.terms_sexp enc :: refs)) in
+  match Model_io.parse_sexp text with
+  | Model_io.List (Model_io.List (Model_io.Atom "terms" :: defs) :: refs) ->
+      let dec = Model_io.term_dec defs in
+      List.iter2
+        (fun e r ->
+          Alcotest.(check bool) (Sexpr.to_string e) true (Sexpr.equal e (Model_io.tref dec r)))
+        cases refs
+  | _ -> Alcotest.fail "term table did not print as a list"
 
 let test_v1_document_compat () =
   (* Version-1 entries predate the residual clause; they parse with an
@@ -91,6 +108,48 @@ let test_v1_document_compat () =
   Alcotest.(check int) "empty residual" 0 (List.length e.Model.residual_match);
   Alcotest.(check int) "flow kept" 1 (List.length e.Model.flow_match)
 
+(* A version-2 document (expression trees, no term table) written by
+   the version-2 writer still parses to the model extraction builds
+   today; rangefw's merged ite summaries exercise the tree reader. *)
+let test_v2_document_compat () =
+  let doc = In_channel.with_open_bin "fixtures/rangefw.v2.nfm" In_channel.input_all in
+  let m = (extract_nf "rangefw").Extract.model in
+  let m' = Model_io.of_string (String.trim doc) in
+  Alcotest.(check string) "same model" (Model.to_string m) (Model.to_string m');
+  Alcotest.(check string) "re-exports as today's document" (Model_io.to_string m)
+    (Model_io.to_string m')
+
+(* Corrupted term references: a reference to a later definition, one
+   past the table, and a list in place of an index. *)
+let test_bad_term_references () =
+  let doc terms flow =
+    Printf.sprintf
+      "(nfactor-model (version 3) (terms %s) (name x) (pkt-var pkt) (cfg-vars) (ois-vars) \
+       (entries (entry (config) (flow (+ %s)) (state) (residual) (action (drop)) (updates) \
+       (path) (truncated false))))"
+      terms flow
+  in
+  let ok = doc "(y pkt.dport) (c (i 80)) (b == 0 1)" "2" in
+  Alcotest.(check int) "well-formed document parses" 1
+    (List.length (Model_io.of_string ok).Model.entries);
+  List.iter
+    (fun (what, text) ->
+      match Model_io.of_string text with
+      | exception Model_io.Parse_error _ -> ()
+      | exception e -> Alcotest.failf "%s: leaked %s" what (Printexc.to_string e)
+      | _ -> Alcotest.failf "%s: accepted" what)
+    [
+      ("forward reference in the table", doc "(b == 1 2) (y pkt.dport) (c (i 80))" "0");
+      ("self reference", doc "(n 0)" "0");
+      ("entry index past the table", doc "(y pkt.dport) (c (i 80)) (b == 0 1)" "3");
+      ("negative index", doc "(y pkt.dport)" "-1");
+      ("non-atom index", doc "(y pkt.dport) (c (i 80)) (b == 0 1)" "(2)");
+      ("non-atom operand", doc "(y pkt.dport) (c (i 80)) (b == (0) 1)" "2");
+      ("non-numeric index", doc "(y pkt.dport)" "x0");
+      ("missing term table",
+        "(nfactor-model (version 3) (name x) (pkt-var pkt) (cfg-vars) (ois-vars) (entries))");
+    ]
+
 let test_residual_roundtrip () =
   let e =
     {
@@ -105,7 +164,8 @@ let test_residual_roundtrip () =
       truncated = false;
     }
   in
-  let e' = Model_io.entry_of_sexp (Model_io.parse_sexp (Model_io.sexp_to_string (Model_io.sexp_of_entry e))) in
+  let m = { Model.nf_name = "r"; pkt_var = "pkt"; cfg_vars = []; ois_vars = []; entries = [ e ] } in
+  let e' = List.hd (Model_io.of_string (Model_io.to_string m)).Model.entries in
   match e'.Model.residual_match with
   | [ l ] ->
       Alcotest.(check bool) "polarity kept" false l.Solver.positive;
@@ -185,17 +245,21 @@ let mutate rng doc =
   Buffer.add_string b (String.sub doc last (String.length doc - last));
   Buffer.contents b
 
-let qcheck_of_string_total =
-  QCheck.Test.make ~name:"model_io: of_string on mutated documents raises only Parse_error"
-    ~count:500
+(* [decode] on a mutation of one of [docs] either returns or raises
+   [Parse_error]; shared by every document decoder's totality
+   property. *)
+let decoder_total ~name ~count docs decode =
+  QCheck.Test.make ~name ~count
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let rng = Packet.Rng.create seed in
-      let docs = Lazy.force corpus_documents in
+      let docs = Lazy.force docs in
       let doc = mutate rng docs.(Packet.Rng.int rng (Array.length docs)) in
-      match Model_io.of_string doc with
-      | _ -> true
-      | exception Model_io.Parse_error _ -> true)
+      match decode doc with _ -> true | exception Model_io.Parse_error _ -> true)
+
+let qcheck_of_string_total =
+  decoder_total ~name:"model_io: of_string on mutated documents raises only Parse_error"
+    ~count:500 corpus_documents Model_io.of_string
 
 let suite =
   [
@@ -205,6 +269,9 @@ let suite =
     Alcotest.test_case "value roundtrip" `Quick test_value_roundtrip;
     Alcotest.test_case "expr roundtrip" `Quick test_expr_roundtrip;
     Alcotest.test_case "v1 document compat" `Quick test_v1_document_compat;
+    Alcotest.test_case "v2 document compat" `Quick test_v2_document_compat;
+    Alcotest.test_case "bad term references" `Quick test_bad_term_references;
+    Alcotest.test_case "document size" `Quick test_document_size;
     Alcotest.test_case "residual roundtrip" `Quick test_residual_roundtrip;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
     QCheck_alcotest.to_alcotest qcheck_sexp_roundtrip;

@@ -394,6 +394,39 @@ let test_plan_agrees_with_interpreter () =
          && List.for_all2 Packet.Pkt.equal r o.Nfactor_runtime.Engine.outputs)
        ref_out (Array.to_list outs))
 
+(* ------------------------------------------------------------------ *)
+(* Artifact decoders are total                                        *)
+(* ------------------------------------------------------------------ *)
+
+let artifact_nfs = [ "lb"; "firewall_redundant"; "portknock"; "dpi" ]
+
+let prop_paths_decoder_total =
+  Test_model_io.decoder_total
+    ~name:"artifact: paths_of_string on mutated documents raises only Parse_error" ~count:300
+    (lazy
+      (Array.of_list
+         (List.map
+            (fun name ->
+              let _, p = corpus_nf name in
+              let ex = Nfactor.Extract.run ~name p in
+              Artifact.paths_to_string (ex.Nfactor.Extract.paths, ex.Nfactor.Extract.stats))
+            artifact_nfs)))
+    Artifact.paths_of_string
+
+let prop_analysis_decoder_total =
+  Test_model_io.decoder_total
+    ~name:"artifact: analysis_of_string on mutated documents raises only Parse_error"
+    ~count:300
+    (lazy
+      (let m = Manager.create () in
+       Array.of_list
+         (List.map
+            (fun name ->
+              let _, p = corpus_nf name in
+              Artifact.analysis_to_string (Manager.analyze m (Manager.extract m ~name p)))
+            artifact_nfs)))
+    Artifact.analysis_of_string
+
 let suite =
   [
     Alcotest.test_case "pipeline == Extract.run (corpus)" `Quick test_pipeline_equals_extract;
@@ -410,4 +443,6 @@ let suite =
     Alcotest.test_case "solver memo shared" `Quick test_solver_memo_shared;
     Alcotest.test_case "warm memo still works" `Quick test_warm_memo_still_works;
     Alcotest.test_case "plan pass on warm model" `Quick test_plan_agrees_with_interpreter;
+    QCheck_alcotest.to_alcotest prop_paths_decoder_total;
+    QCheck_alcotest.to_alcotest prop_analysis_decoder_total;
   ]
