@@ -211,7 +211,15 @@ let accuracy_cmd =
         let ex = Pipeline.Manager.extract (manager ?cache_dir ()) ~name p in
         let v =
           match trace with
-          | Some file -> Nfactor.Equiv.differential ex ~pkts:(Packet.Codec.load ~file)
+          | Some file -> (
+              match Packet.Codec.load ~file with
+              | pkts -> Nfactor.Equiv.differential ex ~pkts
+              | exception Packet.Codec.Parse_error (line, msg) ->
+                  Fmt.epr "error: %s:%d: %s@." file line msg;
+                  exit 1
+              | exception Sys_error msg ->
+                  Fmt.epr "error: %s@." msg;
+                  exit 1)
           | None -> Nfactor.Equiv.random_testing ~seed ~trials ex
         in
         if Nfactor.Equiv.ok v then
@@ -277,6 +285,79 @@ let traffic_source ~seed churn =
 let traffic ~seed ~n churn =
   let next = traffic_source ~seed churn in
   Array.init n (fun _ -> next ())
+
+(* [run --shards] and [chain run --shards]: a timed counted replay on
+   the sharded dataplane ([shard ?capacity ()] builds it over the
+   linked plan [cp]), its report, and with [check] a fresh unbounded
+   instance against one chain engine on the same stream — outcomes,
+   per-hop stores and per-hop counters. *)
+let sharded_run ~shard ~cp ~name ~reference ?capacity ~n ~seed ~churn ~json ~check shards =
+  let with_shard ?capacity f =
+    let sh = shard ?capacity () in
+    Fun.protect ~finally:(fun () -> Nfactor_runtime.Shard.shutdown sh) (fun () -> f sh)
+  in
+  with_shard ?capacity (fun sh ->
+      let secs =
+        Nfactor_runtime.Engine.timed_replay ~n (traffic_source ~seed churn)
+          (Nfactor_runtime.Shard.run_batch_count sh)
+      in
+      if json then print_endline (Nfactor_runtime.Shard.stats_json sh ~nf:name)
+      else begin
+        Fmt.pr "sharding: %a@." Nfactor_runtime.Shardplan.pp (Nfactor_runtime.Shard.spec sh);
+        List.iter
+          (fun (id, s) ->
+            Fmt.pr "  %-12s %a@." id (Nfactor_runtime.Engine.pp_stats_of ~evictions:0) s)
+          (Nfactor_runtime.Shard.hop_stats sh);
+        Fmt.pr "evictions %d; deferred %d packet(s) to the serial phase over %d batch(es)@."
+          (Nfactor_runtime.Shard.evictions sh) (Nfactor_runtime.Shard.deferred sh)
+          (Nfactor_runtime.Shard.batches sh);
+        Fmt.pr "%d packets in %.3f ms (%.2f Mpps, %d shards)@." n (secs *. 1e3)
+          (if secs > 0. then float_of_int n /. secs /. 1e6 else 0.)
+          shards
+      end);
+  if check then begin
+    if capacity <> None then begin
+      Fmt.epr "error: --check requires an unbounded store (eviction order differs across shard clocks by design)@.";
+      exit 1
+    end;
+    let pkts = traffic ~seed ~n churn in
+    let eng = Nfactor_runtime.Chainengine.create cp in
+    let expected = Array.map (Nfactor_runtime.Chainengine.walk eng ~count:false) pkts in
+    with_shard (fun sh ->
+        let got = Nfactor_runtime.Shard.run_batch sh pkts in
+        let out_ok =
+          Array.for_all2
+            (fun (e : Nfactor_runtime.Engine.outcome) (g : Nfactor_runtime.Engine.outcome) ->
+              e.Nfactor_runtime.Engine.fired = g.Nfactor_runtime.Engine.fired
+              && List.equal Packet.Pkt.equal e.Nfactor_runtime.Engine.outputs
+                   g.Nfactor_runtime.Engine.outputs)
+            expected got
+        in
+        let store_ok =
+          List.equal
+            (fun (_, a) (_, b) -> Nfactor.Model_interp.Smap.equal Symexec.Value.equal a b)
+            (Nfactor_runtime.Chainengine.snapshot_hops eng)
+            (Nfactor_runtime.Shard.snapshot_hops sh)
+        in
+        (* Unbounded stores: the per-hop JSON compares every counter. *)
+        let per_hop stats =
+          Nfactor.Json.to_string (Nfactor_runtime.Chainengine.per_hop_obj cp stats)
+        in
+        let stats_ok =
+          per_hop (Nfactor_runtime.Chainengine.hop_stats eng)
+          = per_hop (Nfactor_runtime.Shard.hop_stats sh)
+        in
+        if out_ok && store_ok && stats_ok then
+          Fmt.pr "check: %d shards == single %s on %d packets (outputs, per-hop stores, per-hop counters)@."
+            shards reference n
+        else begin
+          Fmt.epr "check FAILED: outputs %s, stores %s, counters %s@."
+            (if out_ok then "agree" else "DIFFER")
+            (if store_ok then "agree" else "DIFFER")
+            (if stats_ok then "agree" else "DIFFER");
+          exit 1
+        end)
+  end
 
 let run_cmd =
   let n = Arg.(value & opt int 100_000 & info [ "n" ] ~doc:"Packets to replay.") in
@@ -351,86 +432,12 @@ let run_cmd =
             end
           end
         end
-        else begin
-          let sh =
-            Nfactor_runtime.Shard.create ?capacity ~nshards:shards model ~config:store
-          in
-          Fun.protect
-            ~finally:(fun () -> Nfactor_runtime.Shard.shutdown sh)
-            (fun () ->
-              let secs =
-                Nfactor_runtime.Engine.timed_replay ~n (traffic_source ~seed churn)
-                  (Nfactor_runtime.Shard.run_batch_count sh)
-              in
-              if json then print_endline (Nfactor_runtime.Shard.stats_json sh ~nf:name)
-              else begin
-                Fmt.pr "sharding: %a@." Nfactor_runtime.Shardplan.pp
-                  (Nfactor_runtime.Shard.spec sh);
-                Fmt.pr "%a@."
-                  (Nfactor_runtime.Engine.pp_stats_of
-                     ~evictions:(Nfactor_runtime.Shard.evictions sh))
-                  (Nfactor_runtime.Shard.merged_stats sh);
-                Fmt.pr "deferred %d packet(s) to the serial phase over %d batch(es)@."
-                  (Nfactor_runtime.Shard.deferred sh)
-                  (Nfactor_runtime.Shard.batches sh);
-                Fmt.pr "%d packets in %.3f ms (%.2f Mpps, %d shards)@." n (secs *. 1e3)
-                  (mpps secs) shards
-              end;
-              if check then begin
-                if capacity <> None then begin
-                  Fmt.epr "error: --check requires an unbounded store (eviction order differs across shard clocks by design)@.";
-                  exit 1
-                end;
-                let pkts = stream () in
-                let eng = Nfactor_runtime.Engine.create plan ~store in
-                let expected = Nfactor_runtime.Engine.run_batch eng pkts in
-                let sh2 =
-                  Nfactor_runtime.Shard.create ~nshards:shards model ~config:store
-                in
-                Fun.protect
-                  ~finally:(fun () -> Nfactor_runtime.Shard.shutdown sh2)
-                  (fun () ->
-                    let got = Nfactor_runtime.Shard.run_batch sh2 pkts in
-                    let out_ok = ref true in
-                    Array.iteri
-                      (fun i (e : Nfactor_runtime.Engine.outcome) ->
-                        let g = got.(i) in
-                        if
-                          e.Nfactor_runtime.Engine.fired
-                            <> g.Nfactor_runtime.Engine.fired
-                          || List.length e.Nfactor_runtime.Engine.outputs
-                             <> List.length g.Nfactor_runtime.Engine.outputs
-                          || not
-                               (List.for_all2 Packet.Pkt.equal
-                                  e.Nfactor_runtime.Engine.outputs
-                                  g.Nfactor_runtime.Engine.outputs)
-                        then out_ok := false)
-                      expected;
-                    let store_ok =
-                      Nfactor.Model_interp.Smap.equal Symexec.Value.equal
-                        (Nfactor_runtime.Engine.snapshot eng)
-                        (Nfactor_runtime.Shard.snapshot sh2)
-                    in
-                    (* Same nf, same plan, unbounded stores: the JSON
-                       rendering compares every counter at once. *)
-                    let stats_ok =
-                      Nfactor_runtime.Engine.stats_json_of ~nf:name ~plan ~evictions:0
-                        (Nfactor_runtime.Shard.merged_stats sh2)
-                      = Nfactor_runtime.Engine.stats_json eng
-                    in
-                    if !out_ok && store_ok && stats_ok then
-                      Fmt.pr
-                        "check: %d shards == single engine on %d packets (outputs, merged state, merged counters)@."
-                        shards n
-                    else begin
-                      Fmt.epr "check FAILED: outputs %s, merged state %s, merged counters %s@."
-                        (if !out_ok then "agree" else "DIFFER")
-                        (if store_ok then "agrees" else "DIFFERS")
-                        (if stats_ok then "agree" else "DIFFER");
-                      exit 1
-                    end)
-              end)
-        end)
+        else
+          sharded_run
+            ~shard:(fun ?capacity () ->
+              Nfactor_runtime.Shard.create ?capacity ~nshards:shards model ~config:store)
+            ~cp:(Nfactor_runtime.Chainplan.of_plan ~id:name plan store)
+            ~name ~reference:"engine" ?capacity ~n ~seed ~churn ~json ~check shards)
       arg
   in
   Cmd.v
@@ -617,10 +624,10 @@ let chain_run_cmd =
   in
   let json = Arg.(value & flag & info [ "json" ] ~doc:"Print chain counters as JSON.") in
   let check =
-    Arg.(value & flag & info [ "check" ] ~doc:"Differential check on the same traffic: the interpreter chain (Verify.Network.run) for a single engine, a single chain engine for a sharded run (outputs and per-hop final stores).")
+    Arg.(value & flag & info [ "check" ] ~doc:"Differential check on the same traffic: the interpreter chain (Verify.Network.run) for a single engine (outputs and per-hop final stores), a single chain engine for a sharded run (outputs, per-hop final stores and per-hop counters).")
   in
   let shards =
-    Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc:"Run the chain across N shard domains, when the fused plan's shard spec allows it; 1 (default) runs the single-threaded chain engine.")
+    Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc:"Run the chain on the sharded dataplane with N shard domains, when the linked plan's shard spec allows it; 1 (default) runs the single-threaded chain engine.")
   in
   let churn =
     Arg.(value & opt (some int) None & info [ "churn" ] ~docv:"FLOWS" ~doc:"Replace uniform random traffic with the churn workload: FLOWS concurrent conversations with unbounded turnover.")
@@ -663,58 +670,15 @@ let chain_run_cmd =
         end
       end
     end
-    else begin
-      match Nfactor_runtime.Chainengine.shard ?capacity cp ~nshards:shards with
-      | Error e ->
-          Fmt.epr "error: chain does not shard: %s@." e;
-          exit 1
-      | Ok sh ->
-          let secs = Nfactor_runtime.Chainengine.shard_replay sh ~pkts:(stream ()) in
-          if json then
-            Printf.printf
-              "{\"chain\": %S, \"nshards\": %d, \"injected\": %d, \"fused_walks\": %d, \"wall_ms\": %.3f}\n"
-              spec shards
-              (Nfactor_runtime.Chainengine.shard_injected sh)
-              (Nfactor_runtime.Chainengine.shard_fused_walks sh)
-              (secs *. 1e3)
-          else
-            Fmt.pr "%d packets in %.3f ms (%.2f Mpps, %d shards)@." n (secs *. 1e3)
-              (mpps secs) shards;
-          if check then begin
-            match Nfactor_runtime.Chainengine.shard cp ~nshards:shards with
-            | Error e ->
-                Fmt.epr "error: %s@." e;
-                exit 1
-            | Ok sh2 ->
-                let pkts = stream () in
-                let eng = Nfactor_runtime.Chainengine.create cp in
-                let single = Nfactor_runtime.Chainengine.run_batch eng pkts in
-                let shard_outs = Nfactor_runtime.Chainengine.shard_run_batch sh2 pkts in
-                let out_ok =
-                  Array.for_all2
-                    (fun a b ->
-                      List.length a = List.length b
-                      && List.for_all2 Packet.Pkt.equal a b)
-                    single shard_outs
-                in
-                let store_ok =
-                  List.for_all2
-                    (fun (_, a) (_, b) ->
-                      Nfactor.Model_interp.Smap.equal Symexec.Value.equal a b)
-                    (Nfactor_runtime.Chainengine.snapshot_hops eng)
-                    (Nfactor_runtime.Chainengine.shard_snapshot_hops sh2)
-                in
-                if out_ok && store_ok then
-                  Fmt.pr "check: %d shards == single chain engine on %d packets (outputs and per-hop stores)@."
-                    shards n
-                else begin
-                  Fmt.epr "check FAILED: outputs %s, stores %s@."
-                    (if out_ok then "ok" else "DIFFER")
-                    (if store_ok then "ok" else "DIFFER");
-                  exit 1
-                end
-          end
-    end
+    else
+      sharded_run
+        ~shard:(fun ?capacity () ->
+          match Nfactor_runtime.Shard.of_chain ?capacity ~nshards:shards cp with
+          | Ok sh -> sh
+          | Error e ->
+              Fmt.epr "error: chain does not shard: %s@." e;
+              exit 1)
+        ~cp ~name:spec ~reference:"chain engine" ?capacity ~n ~seed ~churn ~json ~check shards
   in
   Cmd.v
     (Cmd.info "run"
@@ -822,8 +786,8 @@ let chain_verify_cmd =
         in
         let repro = compiled_reproduces ~other inv nodes o in
         if json then
-          Printf.printf "{\"chain\": %S, \"invariant\": %S, \"compiled_reproduces\": %s, \"outcome\": %s}\n"
-            spec invariant
+          Printf.printf "{\"chain\": %s, \"invariant\": %s, \"compiled_reproduces\": %s, \"outcome\": %s}\n"
+            (Nfactor.Json.quote spec) (Nfactor.Json.quote invariant)
             (match repro with
             | Some true -> "true"
             | Some false -> "false"
@@ -857,7 +821,7 @@ let chain_lint_cmd =
       Analysis.Lint.chain_dead_writes (List.map (fun (n, m, _) -> (n, m)) nodes)
     in
     if json then
-      Printf.printf "{\"chain\": %S, \"findings\": [%s]}\n" spec
+      Printf.printf "{\"chain\": %s, \"findings\": [%s]}\n" (Nfactor.Json.quote spec)
         (String.concat ", " (List.map Analysis.Lint.finding_to_json findings))
     else if findings = [] then
       Fmt.pr "%s: no cross-hop dead writes@." spec
@@ -958,11 +922,11 @@ let minimize_cmd =
         let after = Nfactor.Model.entry_count o.Analysis.Minimize.minimized in
         if json then
           Printf.printf
-            "{\"nf\": %S, \"entries_before\": %d, \"entries_after\": %d, \
+            "{\"nf\": %s, \"entries_before\": %d, \"entries_after\": %d, \
              \"reduction_pct\": %.1f, \"deleted_dead\": %d, \"deleted_shadowed\": %d, \
              \"merged\": %d, \"widened_literals\": %d, \"iterations\": %d, \
              \"verified\": %s, \"trials\": %d}\n"
-            name before after
+            (Nfactor.Json.quote name) before after
             (100. *. Analysis.Minimize.reduction o)
             o.Analysis.Minimize.deleted_dead o.Analysis.Minimize.deleted_shadowed
             o.Analysis.Minimize.merged o.Analysis.Minimize.widened_literals
@@ -1044,8 +1008,8 @@ let synth_all_cmd =
                     (if o.Analysis.Minimize.verified then "true" else "false")
             in
             Printf.sprintf
-              "    { \"name\": %S, \"model_md5\": %S, \"entries\": %d, \"paths\": %d%s }"
-              name digest
+              "    { \"name\": %s, \"model_md5\": %s, \"entries\": %d, \"paths\": %d%s }"
+              (Nfactor.Json.quote name) (Nfactor.Json.quote digest)
               (List.length ex.Nfactor.Extract.model.Nfactor.Model.entries)
               ex.Nfactor.Extract.stats.Symexec.Explore.paths extra)
           results

@@ -695,57 +695,37 @@ let pp_report ppf r =
 
 (* --- JSON ------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let kind_detail = function
   | Dead | Config_dead -> []
-  | Shadowed i -> [ ("by", string_of_int i) ]
-  | Overlap i -> [ ("with", string_of_int i) ]
-  | Unreachable_state s -> [ ("state", string_of_int s) ]
-  | Unwritable_state v | Dead_write v -> [ ("var", Printf.sprintf "%S" (json_escape v)) ]
-  | Chain_dead_write (hop, f) ->
-      [ ("hop", Printf.sprintf "\"%s\"" (json_escape hop));
-        ("field", Printf.sprintf "\"%s\"" (json_escape f)) ]
+  | Shadowed i -> [ ("by", Json.Int i) ]
+  | Overlap i -> [ ("with", Json.Int i) ]
+  | Unreachable_state s -> [ ("state", Json.Int s) ]
+  | Unwritable_state v | Dead_write v -> [ ("var", Json.String v) ]
+  | Chain_dead_write (hop, f) -> [ ("hop", Json.String hop); ("field", Json.String f) ]
 
 let witness_json p =
-  let fields =
-    List.map
-      (fun f -> Printf.sprintf "\"%s\": %d" f (Packet.Pkt.get_int p f))
-      Packet.Headers.int_fields
-  in
-  "{" ^ String.concat ", " fields ^ "}"
+  Json.Obj
+    (List.map (fun f -> (f, Json.Int (Packet.Pkt.get_int p f))) Packet.Headers.int_fields)
 
-let finding_to_json f =
-  let parts =
-    [ ("entry", match f.f_entry with Some j -> string_of_int j | None -> "null");
-      ("kind", Printf.sprintf "\"%s\"" (kind_label f.f_kind)) ]
+let finding_obj f =
+  Json.Obj
+    ([ ("entry", match f.f_entry with Some j -> Json.Int j | None -> Json.Null);
+       ("kind", Json.String (kind_label f.f_kind)) ]
     @ kind_detail f.f_kind
-    @ [ ("severity", Printf.sprintf "\"%s\"" (severity_to_string f.f_severity));
-        ("proven", string_of_bool f.f_proven);
-        ("witness", match f.f_witness with Some p -> witness_json p | None -> "null");
-        ("message", Printf.sprintf "\"%s\"" (json_escape f.f_message)) ]
-  in
-  "{" ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k v) parts) ^ "}"
+    @ [ ("severity", Json.String (severity_to_string f.f_severity));
+        ("proven", Json.Bool f.f_proven);
+        ("witness", match f.f_witness with Some p -> witness_json p | None -> Json.Null);
+        ("message", Json.String f.f_message) ])
+
+let finding_to_json f = Json.to_string (finding_obj f)
 
 let report_to_json r =
   let e, w, i = counts r in
-  Printf.sprintf
-    "{\"nf\": \"%s\", \"errors\": %d, \"warnings\": %d, \"infos\": %d, \
-     \"clean\": %b, \"findings\": [%s]}"
-    (json_escape r.r_nf) e w i (is_clean r)
-    (String.concat ", " (List.map finding_to_json r.r_findings))
+  Json.to_string
+    (Json.Obj
+       [ ("nf", Json.String r.r_nf); ("errors", Json.Int e); ("warnings", Json.Int w);
+         ("infos", Json.Int i); ("clean", Json.Bool (is_clean r));
+         ("findings", Json.List (List.map finding_obj r.r_findings)) ])
 
 (* --- cache-stable serialization --------------------------------- *)
 

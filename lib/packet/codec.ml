@@ -13,16 +13,23 @@
     experiments: captured or hand-written traces driven through an NF
     and its model. *)
 
-let proto_of_string = function
+exception Parse_error of int * string
+
+let fail line fmt = Printf.ksprintf (fun m -> raise (Parse_error (line, m))) fmt
+
+let int_field line what s =
+  match int_of_string_opt s with Some n -> n | None -> fail line "bad %s %S" what s
+
+let proto_of_string line = function
   | "tcp" -> Headers.proto_tcp
   | "udp" -> Headers.proto_udp
   | "icmp" -> Headers.proto_icmp
-  | s -> (
-      match int_of_string_opt s with
-      | Some n -> n
-      | None -> invalid_arg ("Codec: bad protocol " ^ s))
+  | s -> int_field line "protocol" s
 
-let flags_of_string s =
+let addr_of_string line s =
+  match Addr.of_string s with a -> a | exception Invalid_argument _ -> fail line "bad address %S" s
+
+let flags_of_string line s =
   if s = "-" then 0
   else
     String.split_on_char '|' s
@@ -36,10 +43,7 @@ let flags_of_string s =
              | "RST" -> Headers.rst
              | "PSH" -> Headers.psh
              | "URG" -> Headers.urg
-             | p -> (
-                 match int_of_string_opt p with
-                 | Some n -> n
-                 | None -> invalid_arg ("Codec: bad flag " ^ p))
+             | p -> int_field line "flag" p
            in
            acc lor bit)
          0
@@ -52,25 +56,34 @@ let to_line (p : Pkt.t) =
     (Headers.flags_to_string p.Pkt.tcp_flags)
     p.Pkt.ip_ttl p.Pkt.ip_len p.Pkt.seq p.Pkt.ack p.Pkt.payload
 
-(** Parse one trace line.
-    @raise Invalid_argument on malformed lines. *)
-let of_line line =
+(* Parse one trace line; [line] numbers it in errors. *)
+let parse_line line text =
   (* The payload is a quoted suffix; split the head fields first. *)
-  let line = String.trim line in
-  match String.index_opt line '"' with
-  | None -> invalid_arg "Codec: missing payload field"
-  | Some qpos ->
-      let head = String.trim (String.sub line 0 qpos) in
-      let quoted = String.sub line qpos (String.length line - qpos) in
-      let payload = Scanf.sscanf quoted "%S" (fun s -> s) in
-      (match String.split_on_char ' ' head |> List.filter (fun s -> s <> "") with
+  let text = String.trim text in
+  match String.index_opt text '"' with
+  | None -> fail line "missing payload field"
+  | Some qpos -> (
+      let head = String.trim (String.sub text 0 qpos) in
+      let quoted = String.sub text qpos (String.length text - qpos) in
+      let payload =
+        match Scanf.sscanf quoted "%S%!" Fun.id with
+        | s -> s
+        | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) ->
+            fail line "malformed payload %s" quoted
+      in
+      let int = int_field line in
+      match String.split_on_char ' ' head |> List.filter (fun s -> s <> "") with
       | [ proto; src; sport; dst; dport; flags; ttl; len; seq; ack ] ->
-          Pkt.make ~ip_proto:(proto_of_string proto) ~ip_src:(Addr.of_string src)
-            ~sport:(int_of_string sport) ~ip_dst:(Addr.of_string dst)
-            ~dport:(int_of_string dport) ~tcp_flags:(flags_of_string flags)
-            ~ip_ttl:(int_of_string ttl) ~ip_len:(int_of_string len) ~seq:(int_of_string seq)
-            ~ack:(int_of_string ack) ~payload ()
-      | _ -> invalid_arg ("Codec: malformed line: " ^ line))
+          Pkt.make ~ip_proto:(proto_of_string line proto) ~ip_src:(addr_of_string line src)
+            ~sport:(int "sport" sport) ~ip_dst:(addr_of_string line dst)
+            ~dport:(int "dport" dport) ~tcp_flags:(flags_of_string line flags)
+            ~ip_ttl:(int "ttl" ttl) ~ip_len:(int "len" len) ~seq:(int "seq" seq)
+            ~ack:(int "ack" ack) ~payload ()
+      | fields -> fail line "expected 10 fields before the payload, found %d" (List.length fields))
+
+(** Parse one trace line.
+    @raise Parse_error (line 1) on malformed lines. *)
+let of_line text = parse_line 1 text
 
 (** Render a whole trace (with a header comment). *)
 let to_string pkts =
@@ -86,9 +99,9 @@ let to_string pkts =
 (** Parse a whole trace; [#] comments and blank lines are skipped. *)
 let of_string text =
   String.split_on_char '\n' text
-  |> List.filter_map (fun line ->
-         let t = String.trim line in
-         if t = "" || t.[0] = '#' then None else Some (of_line t))
+  |> List.mapi (fun i l -> (i + 1, String.trim l))
+  |> List.filter_map (fun (line, t) ->
+         if t = "" || t.[0] = '#' then None else Some (parse_line line t))
 
 let save ~file pkts =
   let oc = open_out file in

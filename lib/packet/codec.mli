@@ -6,11 +6,20 @@
 
 val to_line : Pkt.t -> string
 
+exception Parse_error of int * string
+(** The decoders' one error: a 1-based line number and what is wrong
+    there. *)
+
 val of_line : string -> Pkt.t
-(** @raise Invalid_argument on malformed lines. *)
+(** @raise Parse_error (line 1) on malformed lines. *)
 
 val to_string : Pkt.t list -> string
+
 val of_string : string -> Pkt.t list
+(** @raise Parse_error on the first malformed line. *)
 
 val save : file:string -> Pkt.t list -> unit
+
 val load : file:string -> Pkt.t list
+(** @raise Parse_error on the first malformed line, [Sys_error] when
+    the file cannot be read. *)

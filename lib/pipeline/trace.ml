@@ -29,6 +29,13 @@ let pp ppf t =
     (status_to_string t.status) (t.wall_s *. 1e3)
 
 let to_json t =
-  Printf.sprintf
-    "{ \"nf\": %S, \"pass\": %S, \"fingerprint\": %S, \"status\": %S, \"wall_ms\": %.3f }"
-    t.nf t.pass t.fingerprint (status_to_string t.status) (t.wall_s *. 1e3)
+  Nfactor.Json.(
+    to_string
+      (Obj
+         [
+           ("nf", String t.nf);
+           ("pass", String t.pass);
+           ("fingerprint", String t.fingerprint);
+           ("status", String (status_to_string t.status));
+           ("wall_ms", Float (t.wall_s *. 1e3));
+         ]))

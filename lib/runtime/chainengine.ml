@@ -1,10 +1,9 @@
 (* Chain execution over a linked plan: per-hop engines sharing one
    namespaced Flowstate, breadth-first traversal matching
-   Verify.Network.push, fused entry nodes from the link-time partial
-   evaluation, and the domain-parallel sharded runtime. *)
-
-open Symexec
-module Smap = Nfactor.Model_interp.Smap
+   Verify.Network.push, and fused entry nodes from the link-time
+   partial evaluation. One hop traversal serves every entry point:
+   allocating, traced, counted, and the sharded dataplane's deferrable
+   walk with its serial-phase completion. *)
 
 type t = {
   cp : Chainplan.t;
@@ -15,8 +14,7 @@ type t = {
   mutable handoffs : int;
 }
 
-let create_with ?capacity (cp : Chainplan.t) store =
-  let state = Flowstate.create ?capacity store in
+let of_flowstate (cp : Chainplan.t) state =
   {
     cp;
     state;
@@ -27,44 +25,110 @@ let create_with ?capacity (cp : Chainplan.t) store =
     handoffs = 0;
   }
 
-let create ?capacity cp = create_with ?capacity cp cp.Chainplan.store0
+let create ?capacity (cp : Chainplan.t) =
+  of_flowstate cp (Flowstate.create ?capacity cp.Chainplan.store0)
 
-let root_of t i =
-  t.cp.Chainplan.hops.(i).Chainplan.h_plan.Compile.root
+(* The engine's current plan: a one-hop sharded NF may have swapped it. *)
+let root_of t i = t.engines.(i).Engine.plan.Compile.root
 
-(* One hop of the breadth-first traversal: step every pending packet
-   through hop [i] (in order — state commits exactly like the
-   interpreter chain) and pair each output with its start node in the
-   next hop, fused when the link pre-decided it. *)
-let hop_once t i pending =
+let note_start t i start =
+  if start != root_of t i then t.fused_walks <- t.fused_walks + 1
+  else if i > 0 then t.handoffs <- t.handoffs + 1
+
+(* Prepend hop [i]'s outputs (reversed) to [next], each paired with its
+   start node in hop [i + 1] — fused when the link pre-decided it. *)
+let forward t i (o : Engine.outcome) next =
+  if i + 1 >= Array.length t.engines then
+    List.fold_left (fun acc out -> (out, root_of t i) :: acc) next o.Engine.outputs
+  else
+    match o.Engine.fired with
+    | None -> next
+    | Some e ->
+        let starts = t.cp.Chainplan.starts.(i).(e) in
+        let nroot = root_of t (i + 1) in
+        snd
+          (List.fold_left
+             (fun (j, acc) out ->
+               (j + 1, (out, if j < Array.length starts then starts.(j) else nroot) :: acc))
+             (0, next) o.Engine.outputs)
+
+type stop = {
+  hop : int;
+  at : Packet.Pkt.t * Compile.dnode;  (** the packet that stopped *)
+  rest : (Packet.Pkt.t * Compile.dnode) list;  (** still waiting at [hop] *)
+  next : (Packet.Pkt.t * Compile.dnode) list;
+  pend : Engine.pending option;
+  fired : int option;
+}
+
+exception Deferred of stop
+
+let counted = { Engine.outputs = []; fired = None }
+
+(* One packet at hop [i]. With per-hop [serial] flags the step may
+   stop: the parallel phase of the sharded dataplane; with [never],
+   the empty flag table, it steps plainly. [count] only ever holds at
+   the last hop — intermediate hops must materialize their outputs,
+   the next hop reads the rewritten fields. *)
+let never : bool array array = [||]
+
+let hop_step t i ~count ~serial p start =
   let eng = t.engines.(i) in
-  let root = root_of t i in
-  let last = i + 1 >= Array.length t.engines in
-  List.concat_map
-    (fun (p, start) ->
-      if start != root then t.fused_walks <- t.fused_walks + 1
-      else if i > 0 then t.handoffs <- t.handoffs + 1;
-      let o = Engine.step_at eng ~root:start p in
-      if last then List.map (fun out -> (out, root)) o.Engine.outputs
-      else
-        match o.Engine.fired with
-        | Some e ->
-            let starts = t.cp.Chainplan.starts.(i).(e) in
-            let nroot = root_of t (i + 1) in
-            List.mapi
-              (fun j out ->
-                (out, if j < Array.length starts then starts.(j) else nroot))
-              o.Engine.outputs
-        | None -> [])
-    pending
+  if serial != never then Engine.step_or_defer eng ~root:start ~serial:serial.(i) ~count p
+  else if count then begin
+    Engine.step_count_at eng ~root:start p;
+    `Counted
+  end
+  else `Out (Engine.step_at eng ~root:start p)
 
-let step t pkt =
+(* The breadth-first traversal from hop [i] on: every packet of [todo]
+   steps through hop [i] in order (state commits exactly like the
+   interpreter chain) before any moves on; [next] collects hop [i]'s
+   outputs so far, reversed. [fired] is hop 0's entry, carried into a
+   stop. [trace] sees each hop's entered and left packets. *)
+let rec traverse t ~count ~serial ~trace ~fired i entered todo next =
+  let last = i = Array.length t.engines - 1 in
+  match todo with
+  | ((p, start) as at) :: rest -> (
+      match hop_step t i ~count:(count && last) ~serial p start with
+      | `Out o ->
+          note_start t i start;
+          traverse t ~count ~serial ~trace ~fired i entered rest (forward t i o next)
+      | `Counted ->
+          note_start t i start;
+          traverse t ~count ~serial ~trace ~fired i entered rest next
+      | `Defer pend ->
+          note_start t i start;
+          raise (Deferred { hop = i; at; rest; next; pend = Some pend; fired })
+      | `Rewalk -> raise (Deferred { hop = i; at; rest; next; pend = None; fired }))
+  | [] -> (
+      let left = List.rev_map fst next in
+      (match trace with Some f -> f i entered left | None -> ());
+      if last then left
+      else traverse t ~count ~serial ~trace ~fired (i + 1) left (List.rev next) [])
+
+(* Hop 0 sees exactly one packet; a one-hop chain returns the engine's
+   own outcome untouched. *)
+let walk_from t ~count ~serial ~trace p =
   t.injected <- t.injected + 1;
-  let pending = ref [ (pkt, root_of t 0) ] in
-  for i = 0 to Array.length t.engines - 1 do
-    pending := hop_once t i !pending
-  done;
-  List.map fst !pending
+  let root = root_of t 0 in
+  let one_hop = Array.length t.engines = 1 && Option.is_none trace in
+  match hop_step t 0 ~count:(count && one_hop) ~serial p root with
+  | `Out o when one_hop -> o
+  | `Out o ->
+      let fired = o.Engine.fired in
+      let outputs =
+        traverse t ~count ~serial ~trace ~fired 0 [ p ] [] (forward t 0 o [])
+      in
+      { Engine.outputs; fired }
+  | `Counted -> counted
+  | `Defer pend ->
+      raise (Deferred { hop = 0; at = (p, root); rest = []; next = []; pend = Some pend; fired = None })
+  | `Rewalk ->
+      raise (Deferred { hop = 0; at = (p, root); rest = []; next = []; pend = None; fired = None })
+
+let walk t ~count p = walk_from t ~count ~serial:never ~trace:None p
+let step t pkt = (walk t ~count:false pkt).Engine.outputs
 
 type hoprec = {
   hop_id : string;
@@ -73,44 +137,41 @@ type hoprec = {
 }
 
 let step_trace t pkt =
-  t.injected <- t.injected + 1;
   let recs = ref [] in
-  let pending = ref [ (pkt, root_of t 0) ] in
-  for i = 0 to Array.length t.engines - 1 do
-    let entered = List.map fst !pending in
-    pending := hop_once t i !pending;
-    recs :=
-      {
-        hop_id = t.cp.Chainplan.hops.(i).Chainplan.h_id;
-        entered;
-        left = List.map fst !pending;
-      }
-      :: !recs
-  done;
-  (List.map fst !pending, List.rev !recs)
+  let trace i entered left =
+    recs := { hop_id = t.cp.Chainplan.hops.(i).Chainplan.h_id; entered; left } :: !recs
+  in
+  let o = walk_from t ~count:false ~serial:never ~trace:(Some trace) pkt in
+  (o.Engine.outputs, List.rev !recs)
 
 let run_batch t pkts = Array.map (step t) pkts
 
-(* Timed-loop step: intermediate hops must materialize outputs (the
-   next hop reads the rewritten fields), the last hop counts only. *)
-let step_timed t pkt =
-  t.injected <- t.injected + 1;
-  let n = Array.length t.engines in
-  let pending = ref [ (pkt, root_of t 0) ] in
-  for i = 0 to n - 2 do
-    pending := hop_once t i !pending
-  done;
-  let i = n - 1 in
-  let eng = t.engines.(i) in
-  let root = root_of t i in
-  List.iter
-    (fun (p, start) ->
-      if start != root then t.fused_walks <- t.fused_walks + 1
-      else if i > 0 then t.handoffs <- t.handoffs + 1;
-      Engine.step_count_at eng ~root:start p)
-    !pending
+let run_batch_count t pkts =
+  Array.iter (fun p -> ignore (walk t ~count:true p)) pkts
 
-let run_batch_count t pkts = Array.iter (step_timed t) pkts
+let step_or_defer t ~serial ~count p = walk_from t ~count ~serial ~trace:None p
+
+let finish t ~count s =
+  let p, start = s.at in
+  let eng = t.engines.(s.hop) in
+  let last = s.hop = Array.length t.engines - 1 in
+  let o =
+    match s.pend with
+    | Some pend -> Engine.fire_pending eng ~count:(count && last) p pend
+    | None ->
+        note_start t s.hop start;
+        if count && last then begin
+          Engine.step_count_at eng ~root:start p;
+          counted
+        end
+        else Engine.step_at eng ~root:start p
+  in
+  if Array.length t.engines = 1 then o
+  else
+    let fired = if s.hop = 0 then o.Engine.fired else s.fired in
+    let next = if count && last then s.next else forward t s.hop o s.next in
+    let outputs = traverse t ~count ~serial:never ~trace:None ~fired s.hop [] s.rest next in
+    { Engine.outputs; fired }
 
 (* Chain deliveries from the last hop's entry-hit counters: each fire
    of entry [e] emits one packet per forward snapshot — valid for both
@@ -150,138 +211,27 @@ let pp_stats ppf t =
       Fmt.pf ppf "@.  %-12s %a" id (Engine.pp_stats_of ~evictions:0) s)
     (hop_stats t)
 
+let per_hop_obj (cp : Chainplan.t) stats =
+  Nfactor.Json.List
+    (List.mapi
+       (fun i (id, s) ->
+         Engine.stats_obj ~nf:id ~plan:cp.Chainplan.hops.(i).Chainplan.h_plan
+           ~evictions:0 s)
+       stats)
+
 let stats_json t =
-  let b = Buffer.create 512 in
-  Printf.bprintf b "{\"chain\": %S, " (String.concat "," (Chainplan.hop_ids t.cp));
-  Printf.bprintf b "\"hops\": %d, " (Chainplan.n_hops t.cp);
-  Printf.bprintf b "\"injected\": %d, " t.injected;
-  Printf.bprintf b "\"delivered\": %d, " (delivered t);
-  Printf.bprintf b "\"fused_walks\": %d, " t.fused_walks;
-  Printf.bprintf b "\"handoffs\": %d, " t.handoffs;
-  Printf.bprintf b "\"fused_entries\": %d, " t.cp.Chainplan.fused_entries;
-  Printf.bprintf b "\"fused_nodes\": %d, " t.cp.Chainplan.fused_nodes;
-  Printf.bprintf b "\"evictions\": %d, " (evictions t);
-  Printf.bprintf b "\"per_hop\": [%s]"
-    (String.concat ", "
-       (List.mapi
-          (fun i (id, s) ->
-            Engine.stats_json_of ~nf:id
-              ~plan:t.cp.Chainplan.hops.(i).Chainplan.h_plan ~evictions:0 s)
-          (hop_stats t)));
-  Buffer.add_string b "}";
-  Buffer.contents b
-
-(* ------------------------------------------------------------------ *)
-(* Sharded chain execution                                            *)
-(* ------------------------------------------------------------------ *)
-
-type sharded = {
-  scp : Chainplan.t;  (* linked with shared plans *)
-  sspec : Shardplan.spec;
-  shards : t array;
-}
-
-let hop_owning (cp : Chainplan.t) name =
-  Array.fold_left
-    (fun acc (h : Chainplan.hop) ->
-      if acc <> None then acc
-      else if String.starts_with ~prefix:h.Chainplan.h_prefix name then Some h
-      else acc)
-    None cp.Chainplan.hops
-
-(* A table is chain-sharded when its owning hop's analysis shards it;
-   the hop routers all hash the same flow-key fields (shard_spec
-   checked that), so table placement agrees with packet routing. *)
-let table_router (cp : Chainplan.t) name =
-  match hop_owning cp name with
-  | None -> None
-  | Some h -> Shardplan.router h.Chainplan.h_spec name
-
-let partition_store (cp : Chainplan.t) ~nshards s =
-  Smap.fold
-    (fun name v acc ->
-      match (v, table_router cp name) with
-      | Value.Dict kvs, Some route ->
-          List.filter (fun (k, _) -> route k mod nshards = s) kvs
-          |> fun kvs -> Smap.add name (Value.Dict kvs) acc
-      | _ -> Smap.add name v acc)
-    cp.Chainplan.store0 Smap.empty
-
-let shard ?capacity (cp : Chainplan.t) ~nshards =
-  if nshards < 1 then invalid_arg "Chainengine.shard: nshards must be >= 1";
-  match Chainplan.shard_spec cp with
-  | Error e -> Error e
-  | Ok _ ->
-      let scp =
-        if cp.Chainplan.shared then cp
-        else Chainplan.link ~shared:true cp.Chainplan.sources
-      in
-      let sspec =
-        match Chainplan.shard_spec scp with
-        | Ok spec -> spec
-        | Error e -> invalid_arg ("Chainengine.shard: relink changed verdict: " ^ e)
-      in
-      let shards =
-        Array.init nshards (fun s ->
-            create_with ?capacity scp (partition_store scp ~nshards s))
-      in
-      Ok { scp; sspec; shards }
-
-let shard_nshards sh = Array.length sh.shards
-let shard_route sh pkt = Shardplan.hash sh.sspec pkt mod Array.length sh.shards
-
-let shard_run_batch sh pkts =
-  Array.map (fun p -> step sh.shards.(shard_route sh p) p) pkts
-
-let shard_replay sh ~pkts =
-  let ns = Array.length sh.shards in
-  let buckets = Array.make ns [] in
-  for i = Array.length pkts - 1 downto 0 do
-    let s = shard_route sh pkts.(i) in
-    buckets.(s) <- pkts.(i) :: buckets.(s)
-  done;
-  let streams = Array.map Array.of_list buckets in
-  let t0 = Unix.gettimeofday () in
-  let doms =
-    Array.mapi
-      (fun s stream ->
-        Domain.spawn (fun () -> Array.iter (step_timed sh.shards.(s)) stream))
-      streams
-  in
-  Array.iter Domain.join doms;
-  Unix.gettimeofday () -. t0
-
-let shard_merged_store sh =
-  let stores = Array.map (fun t -> Flowstate.snapshot t.state) sh.shards in
-  Smap.mapi
-    (fun name v0 ->
-      match (v0, table_router sh.scp name) with
-      | Value.Dict _, Some _ ->
-          let kvs =
-            Array.fold_left
-              (fun acc st ->
-                match Smap.find_opt name st with
-                | Some (Value.Dict kvs) ->
-                    List.merge (fun (a, _) (b, _) -> Value.compare a b) acc kvs
-                | _ -> acc)
-              [] stores
-          in
-          Value.Dict kvs
-      | _ -> v0)
-    stores.(0)
-
-let shard_snapshot_hops sh = Chainplan.split_store sh.scp (shard_merged_store sh)
-
-let shard_hop_stats sh =
-  Array.to_list
-    (Array.mapi
-       (fun i (h : Chainplan.hop) ->
-         ( h.Chainplan.h_id,
-           Engine.merge_stats
-             (Array.map (fun t -> t.engines.(i).Engine.stats) sh.shards) ))
-       sh.scp.Chainplan.hops)
-
-let shard_fused_walks sh =
-  Array.fold_left (fun acc t -> acc + t.fused_walks) 0 sh.shards
-
-let shard_injected sh = Array.fold_left (fun acc t -> acc + t.injected) 0 sh.shards
+  Nfactor.Json.(
+    to_string
+      (Obj
+         [
+           ("chain", String (String.concat "," (Chainplan.hop_ids t.cp)));
+           ("hops", Int (Chainplan.n_hops t.cp));
+           ("injected", Int t.injected);
+           ("delivered", Int (delivered t));
+           ("fused_walks", Int t.fused_walks);
+           ("handoffs", Int t.handoffs);
+           ("fused_entries", Int t.cp.Chainplan.fused_entries);
+           ("fused_nodes", Int t.cp.Chainplan.fused_nodes);
+           ("evictions", Int (evictions t));
+           ("per_hop", per_hop_obj t.cp (hop_stats t));
+         ]))

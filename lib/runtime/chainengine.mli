@@ -14,12 +14,10 @@
     handoff from the root ([handoffs]) — no packet is ever
     re-materialized between hops either way.
 
-    {b Sharded chains.} When {!Chainplan.shard_spec} admits it, a
-    chain runs as N fully independent per-domain replicas: flow-key
-    sharded tables split by the chain's router, everything else
-    replicated. No serial phase and no frozen-store protocol are
-    needed — the spec only says [Ok] when no hop touches shared
-    mutable state — so shards never synchronize between batches. *)
+    One traversal loop serves {!step}, {!step_trace},
+    {!run_batch_count} and the sharded dataplane's deferrable walk
+    ({!step_or_defer} / {!finish}); {!Shard} runs linked chains with
+    it. *)
 
 type t = {
   cp : Chainplan.t;
@@ -34,6 +32,10 @@ val create : ?capacity:int -> Chainplan.t -> t
 (** Fresh chain engine over the plan's merged initial store;
     [capacity] bounds each flow table (leave unset for exact
     interpreter equivalence). *)
+
+val of_flowstate : Chainplan.t -> Flowstate.t -> t
+(** Chain engine over an existing store — the sharded dataplane builds
+    one per shard over its shard-local store. *)
 
 val step : t -> Packet.Pkt.t -> Packet.Pkt.t list
 (** One packet through the whole chain; returns the packets emerging
@@ -70,37 +72,33 @@ val pp_stats : Format.formatter -> t -> unit
 val stats_json : t -> string
 (** Chain counters plus per-hop engine counters as one JSON object. *)
 
-(** {1 Sharded chain execution} *)
+val per_hop_obj : Chainplan.t -> (string * Engine.stats) list -> Nfactor.Json.t
+(** The ["per_hop"] member of {!stats_json} over explicit per-hop
+    counters — shared with the sharded chain's merged view. *)
 
-type sharded
+(** {1 Deferrable walks — the sharded dataplane's phase protocol} *)
 
-val shard : ?capacity:int -> Chainplan.t -> nshards:int -> (sharded, string) result
-(** Partition the chain across [nshards] domain-private replicas.
-    [Error] (the first obstruction, verbatim from
-    {!Chainplan.shard_spec}) when the chain does not shard. Re-links
-    the plan with [shared:true] when needed, so the caller's plan is
-    untouched. *)
+type stop
+(** Where a deferred packet stopped: the hop, the packets still
+    waiting at it (the first one deferred, with its saved match if
+    only the fire waits), and the outputs that hop already produced. *)
 
-val shard_nshards : sharded -> int
-val shard_route : sharded -> Packet.Pkt.t -> int
+exception Deferred of stop
 
-val shard_run_batch : sharded -> Packet.Pkt.t array -> Packet.Pkt.t list array
-(** In-order sequential execution (shard selected per packet) — the
-    exactness side: outputs must equal {!run_batch} on a single chain
-    engine packet-for-packet. *)
+val walk : t -> count:bool -> Packet.Pkt.t -> Engine.outcome
+(** {!step} as an outcome: [outputs] are the packets leaving the last
+    hop, [fired] is the entry hop 0 fired — for a one-hop chain,
+    exactly {!Engine.step}'s outcome. With [count] the last hop counts
+    only ({!run_batch_count}) and the result is a placeholder. *)
 
-val shard_replay : sharded -> pkts:Packet.Pkt.t array -> float
-(** Parallel execution: the stream is partitioned by the chain router
-    and each shard's sub-stream runs on its own domain. Returns
-    wall-clock seconds including domain spawn/join. *)
+val step_or_defer :
+  t -> serial:bool array array -> count:bool -> Packet.Pkt.t -> Engine.outcome
+(** {!walk} in a parallel phase: every hop step is
+    {!Engine.step_or_defer} with that hop's [serial] flags. Hops
+    already passed stay committed.
+    @raise Deferred when a hop step defers or must re-walk. *)
 
-val shard_snapshot_hops : sharded -> (string * Nfactor.Model_interp.store) list
-(** Per-hop final stores of the merged (sharded tables unioned,
-    replicated state from shard 0) chain store. *)
-
-val shard_hop_stats : sharded -> (string * Engine.stats) list
-(** Per-hop counters summed across shards — comparable 1:1 against a
-    single chain engine's on the same stream. *)
-
-val shard_fused_walks : sharded -> int
-val shard_injected : sharded -> int
+val finish : t -> count:bool -> stop -> Engine.outcome
+(** Serial-phase completion of a {!Deferred} packet, from where it
+    stopped: counters, state and outcome end up as one uninterrupted
+    {!step_or_defer} would have left them. *)

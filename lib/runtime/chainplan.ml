@@ -250,6 +250,18 @@ let compute_starts ~store0 ~written hops =
 (* Linking                                                            *)
 (* ------------------------------------------------------------------ *)
 
+let mk_hop ~id ~prefix ~source h_store (h_plan : Compile.t) =
+  let h_model = h_plan.Compile.model in
+  {
+    h_id = id;
+    h_prefix = prefix;
+    h_model;
+    h_source = source;
+    h_store;
+    h_plan;
+    h_spec = Shardplan.analyze h_model ~config:h_store ~live:h_plan.Compile.live_idx;
+  }
+
 let link ?(shared = false) sources =
   if sources = [] then invalid_arg "Chainplan.link: empty chain";
   let seen = Hashtbl.create 8 in
@@ -268,19 +280,8 @@ let link ?(shared = false) sources =
         let prefix = Printf.sprintf "h%d:" i in
         let h_model = rename_model ~prefix m in
         let h_store = rename_store ~prefix store in
-        let h_plan = Compile.compile ~shared h_model ~config:h_store in
-        let h_spec =
-          Shardplan.analyze h_model ~config:h_store ~live:h_plan.Compile.live_idx
-        in
-        {
-          h_id = uniq id;
-          h_prefix = prefix;
-          h_model;
-          h_source = m;
-          h_store;
-          h_plan;
-          h_spec;
-        })
+        mk_hop ~id:(uniq id) ~prefix ~source:m h_store
+          (Compile.compile ~shared h_model ~config:h_store))
       sources
     |> Array.of_list
   in
@@ -292,6 +293,18 @@ let link ?(shared = false) sources =
   let written = written_names hops in
   let starts, fused_entries, fused_nodes = compute_starts ~store0 ~written hops in
   { hops; store0; starts; sources; shared; fused_entries; fused_nodes }
+
+let of_plan ~id (plan : Compile.t) store =
+  let m = plan.Compile.model in
+  {
+    hops = [| mk_hop ~id ~prefix:"" ~source:m store plan |];
+    store0 = store;
+    starts = [||];
+    sources = [ (id, m, store) ];
+    shared = plan.Compile.shared;
+    fused_entries = 0;
+    fused_nodes = 0;
+  }
 
 let n_hops t = Array.length t.hops
 let hop_ids t = Array.to_list (Array.map (fun h -> h.h_id) t.hops)

@@ -74,6 +74,12 @@ val link :
     {!Compile.compile}); the sharded chain runtime requires it.
     @raise Invalid_argument on an empty chain. *)
 
+val of_plan : id:string -> Compile.t -> Nfactor.Model_interp.store -> t
+(** One compiled plan (over its initial store) as a one-hop chain,
+    without renaming: the hop's prefix is empty, so [store0],
+    {!split_store} and every state name are the plan's own. The
+    sharded dataplane runs a single NF this way. *)
+
 val n_hops : t -> int
 val hop_ids : t -> string list
 

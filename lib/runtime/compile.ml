@@ -239,9 +239,6 @@ let literal_matcher (f : valfn) ~positive : matcher =
    | exception Value.Type_error _ -> false
    | exception Nfactor.Model_interp.Unresolved _ -> false
 
-let compile_literal ~pkt_var (l : Solver.literal) : matcher =
-  literal_matcher (compile_expr ~pkt_var l.Solver.atom) ~positive:l.Solver.positive
-
 (* Per-step value memo for a compiled expression shared across
    evaluation sites (dispatch keys, literal atoms, updates, emits).
    Everything in one step evaluates against the pre-state, and the
@@ -365,10 +362,6 @@ let compile_updates ~cexpr (us : (string * Nfactor.Model.state_update) list) =
   flag us
 
 (* ------------------------------------------------------------------ *)
-(* Compilation proper                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* ------------------------------------------------------------------ *)
 (* Literal classification                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -453,7 +446,7 @@ type vclass =
 
 (* The atom's truth on a class; [None] means evaluation raises or
    yields a non-boolean — the literal is false regardless of polarity,
-   mirroring [compile_literal]. *)
+   mirroring [literal_matcher]. *)
 let atom_verdict (sh : shape) (c : vclass) : bool option =
   let ord cmp op =
     match op with

@@ -161,5 +161,3 @@ val compile_expr : pkt_var:string -> Sexpr.t -> valfn
 (** Compiled evaluation, equal to {!Nfactor.Model_interp.eval} on every
     input (including its [Unresolved]/[Type_error] behavior). *)
 
-val compile_literal : pkt_var:string -> Solver.literal -> matcher
-(** Compiled {!Nfactor.Model_interp.literal_holds}. *)

@@ -34,10 +34,10 @@ let m_fsm = 1
 let m_hash = 2
 let m_tree = 4
 
-let mk_stats (plan : Compile.t) =
+let zero_stats entries =
   {
     packets = 0;
-    entry_hits = Array.make (Nfactor.Model.entry_count plan.Compile.model) 0;
+    entry_hits = Array.make entries 0;
     fsm_hits = 0;
     index_hits = 0;
     tree_hits = 0;
@@ -52,7 +52,7 @@ let of_flowstate (plan : Compile.t) state =
   {
     plan;
     state;
-    stats = mk_stats plan;
+    stats = zero_stats (Nfactor.Model.entry_count plan.Compile.model);
     cache = Array.make (max 1 (Array.length plan.Compile.lit_fns)) 0;
     gen = 0;
     pmask = 0;
@@ -158,30 +158,31 @@ let commit_updates t (ce : Compile.centry) =
             ops)
     ce.Compile.updates
 
-let fire t pkt (ce : Compile.centry) =
+(* Fire [ce]: outputs evaluated against the pre-state, then the state
+   update. With [count] no output packet is built (the timed loops'
+   allocation-free path): emit value expressions still evaluate in
+   order (same reads, same exceptions), only the field {e setters} are
+   skipped — a setter's coercion error would escape the allocating
+   path but not this one, which no corpus model exhibits (documented
+   in the interface). *)
+let fire t ~count pkt (ce : Compile.centry) =
   let outputs =
-    Array.to_list
-      (Array.map
-         (fun snap -> List.fold_left (fun acc (set, f) -> set acc (f t.state pkt)) pkt snap)
-         ce.Compile.emit)
+    if count then begin
+      Array.iter
+        (fun snap -> List.iter (fun (_, f) -> ignore (f t.state pkt)) snap)
+        ce.Compile.emit;
+      []
+    end
+    else
+      Array.to_list
+        (Array.map
+           (fun snap -> List.fold_left (fun acc (set, f) -> set acc (f t.state pkt)) pkt snap)
+           ce.Compile.emit)
   in
   resolve_updates t pkt ce;
   commit_updates t ce;
   t.stats.entry_hits.(ce.Compile.eidx) <- t.stats.entry_hits.(ce.Compile.eidx) + 1;
-  { outputs; fired = Some ce.Compile.eidx }
-
-(* Counted fire: identical state effect and counters, no output packet
-   construction. Emit value expressions still evaluate in order (same
-   reads, same exceptions); only the field {e setters} are skipped —
-   a setter's coercion error would escape [fire] but not here, which
-   no corpus model exhibits (documented in the interface). *)
-let fire_count t pkt (ce : Compile.centry) =
-  Array.iter
-    (fun snap -> List.iter (fun (_, f) -> ignore (f t.state pkt)) snap)
-    ce.Compile.emit;
-  resolve_updates t pkt ce;
-  commit_updates t ce;
-  t.stats.entry_hits.(ce.Compile.eidx) <- t.stats.entry_hits.(ce.Compile.eidx) + 1
+  if count then miss_outcome else { outputs; fired = Some ce.Compile.eidx }
 
 (* Map a discriminator value to its class index. *)
 let seg_index cuts n =
@@ -284,30 +285,21 @@ let begin_walk t =
 
 (* Step from an arbitrary dispatch node of the current plan — the
    chain linker hands fused packets a start node below the root (the
-   upstream hop already decided the skipped prefix). Semantics are
-   otherwise [step]'s. *)
-let step_at t ~root pkt =
+   upstream hop already decided the skipped prefix). With [count] the
+   step allocates nothing and returns a placeholder. *)
+let walk t ~count ~root pkt =
   begin_walk t;
   match descend t pkt root with
   | Some ce ->
       attribute t ce;
-      fire t pkt ce
+      fire t ~count pkt ce
   | None ->
       count_miss t;
       miss_outcome
 
+let step_at t ~root pkt = walk t ~count:false ~root pkt
 let step t pkt = step_at t ~root:t.plan.Compile.root pkt
-
-let step_count_at t ~root pkt =
-  begin_walk t;
-  match descend t pkt root with
-  | Some ce ->
-      attribute t ce;
-      fire_count t pkt ce
-  | None -> count_miss t
-
-(* Allocation-free step for timed loops: same walk, same counters,
-   same state effect; no outcome record, no output packets. *)
+let step_count_at t ~root pkt = ignore (walk t ~count:true ~root pkt)
 let step_count t pkt = step_count_at t ~root:t.plan.Compile.root pkt
 
 (* ------------------------------------------------------------------ *)
@@ -331,42 +323,26 @@ type pending = { pce : Compile.centry; ppmask : int }
    The rolled-back walk still advanced the store clock and stamped
    recency on shard-local reads; both are invisible to unbounded
    stores and documented noise under a capacity bound. *)
-let step_or_defer t ~serial ~count pkt =
+let step_or_defer t ~root ~serial ~count pkt =
+  (* the walk touches only these three before a verdict is attributed *)
   let s = t.stats in
-  let sv_packets = s.packets
-  and sv_fsm = s.fsm_hits
-  and sv_index = s.index_hits
-  and sv_tree = s.tree_hits
-  and sv_scan = s.scan_hits
-  and sv_leaf = s.leaf_tests
-  and sv_stests = s.scan_tests
-  and sv_mnc = s.miss_no_config
-  and sv_mnm = s.miss_no_match in
+  let sv_packets = s.packets and sv_leaf = s.leaf_tests and sv_scan = s.scan_tests in
   let fh0 = Flowstate.frozen_hits t.state in
   begin_walk t;
-  let matched = descend t pkt t.plan.Compile.root in
+  let matched = descend t pkt root in
   if Flowstate.frozen_hits t.state <> fh0 then begin
     s.packets <- sv_packets;
-    s.fsm_hits <- sv_fsm;
-    s.index_hits <- sv_index;
-    s.tree_hits <- sv_tree;
-    s.scan_hits <- sv_scan;
     s.leaf_tests <- sv_leaf;
-    s.scan_tests <- sv_stests;
-    s.miss_no_config <- sv_mnc;
-    s.miss_no_match <- sv_mnm;
+    s.scan_tests <- sv_scan;
     `Rewalk
   end
   else
     match matched with
-    | Some ce when serial ce.Compile.eidx -> `Defer { pce = ce; ppmask = t.pmask }
+    | Some ce when serial.(ce.Compile.eidx) -> `Defer { pce = ce; ppmask = t.pmask }
     | Some ce ->
         attribute t ce;
-        if count then begin
-          fire_count t pkt ce;
-          `Counted
-        end
-        else `Out (fire t pkt ce)
+        let o = fire t ~count pkt ce in
+        if count then `Counted else `Out o
     | None ->
         count_miss t;
         if count then `Counted else `Out miss_outcome
@@ -377,11 +353,7 @@ let step_or_defer t ~serial ~count pkt =
 let fire_pending t ~count pkt (p : pending) =
   t.pmask <- p.ppmask;
   attribute t p.pce;
-  if count then begin
-    fire_count t pkt p.pce;
-    miss_outcome
-  end
-  else fire t pkt p.pce
+  fire t ~count pkt p.pce
 
 let run_batch t pkts = Array.map (step t) pkts
 
@@ -415,25 +387,9 @@ let pp_stats_of ~evictions ppf (s : stats) =
 let pp_stats ppf t =
   pp_stats_of ~evictions:(Flowstate.evictions t.state) ppf t.stats
 
-(* Deterministic field order shared by the single-engine view, the
-   sharded per-shard views and the merged view: CI greps depend on
-   it. *)
 let merge_stats (parts : stats array) =
   if Array.length parts = 0 then invalid_arg "Engine.merge_stats: empty";
-  let acc =
-    {
-      packets = 0;
-      entry_hits = Array.make (Array.length parts.(0).entry_hits) 0;
-      fsm_hits = 0;
-      index_hits = 0;
-      tree_hits = 0;
-      scan_hits = 0;
-      leaf_tests = 0;
-      scan_tests = 0;
-      miss_no_config = 0;
-      miss_no_match = 0;
-    }
-  in
+  let acc = zero_stats (Array.length parts.(0).entry_hits) in
   Array.iter
     (fun s ->
       acc.packets <- acc.packets + s.packets;
@@ -451,31 +407,33 @@ let merge_stats (parts : stats array) =
     parts;
   acc
 
-let bprint_stats b (s : stats) ~evictions =
-  Printf.bprintf b "\"packets\": %d, " s.packets;
-  Printf.bprintf b "\"fsm_hits\": %d, " s.fsm_hits;
-  Printf.bprintf b "\"index_hits\": %d, " s.index_hits;
-  Printf.bprintf b "\"tree_hits\": %d, " s.tree_hits;
-  Printf.bprintf b "\"scan_hits\": %d, " s.scan_hits;
-  Printf.bprintf b "\"leaf_tests\": %d, " s.leaf_tests;
-  Printf.bprintf b "\"scan_tests\": %d, " s.scan_tests;
-  Printf.bprintf b "\"miss_no_config\": %d, " s.miss_no_config;
-  Printf.bprintf b "\"miss_no_match\": %d, " s.miss_no_match;
-  Printf.bprintf b "\"evictions\": %d, " evictions;
-  Printf.bprintf b "\"entry_hits\": [%s]"
-    (String.concat ", " (Array.to_list (Array.map string_of_int s.entry_hits)))
+(* Deterministic field order shared by the single-engine view, the
+   sharded per-shard views and the merged view: CI greps depend on
+   it. *)
+let stats_obj ~nf ~(plan : Compile.t) ~evictions (s : stats) =
+  Nfactor.Json.(
+    Obj
+      [
+        ("nf", String nf);
+        ("packets", Int s.packets);
+        ("fsm_hits", Int s.fsm_hits);
+        ("index_hits", Int s.index_hits);
+        ("tree_hits", Int s.tree_hits);
+        ("scan_hits", Int s.scan_hits);
+        ("leaf_tests", Int s.leaf_tests);
+        ("scan_tests", Int s.scan_tests);
+        ("miss_no_config", Int s.miss_no_config);
+        ("miss_no_match", Int s.miss_no_match);
+        ("evictions", Int evictions);
+        ("entry_hits", List (Array.to_list (Array.map (fun n -> Int n) s.entry_hits)));
+        ("live_entries", Int plan.Compile.live);
+        ("indexed_entries", Int plan.Compile.indexed);
+        ("scanned_entries", Int plan.Compile.scanned);
+        ("dropped_static", Int plan.Compile.dropped_static);
+      ])
 
-let stats_json_of ~nf ~(plan : Compile.t) ~evictions (s : stats) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "{";
-  Printf.bprintf b "\"nf\": %S, " nf;
-  bprint_stats b s ~evictions;
-  Printf.bprintf b ", \"live_entries\": %d, " plan.Compile.live;
-  Printf.bprintf b "\"indexed_entries\": %d, " plan.Compile.indexed;
-  Printf.bprintf b "\"scanned_entries\": %d, " plan.Compile.scanned;
-  Printf.bprintf b "\"dropped_static\": %d" plan.Compile.dropped_static;
-  Buffer.add_string b "}";
-  Buffer.contents b
+let stats_json_of ~nf ~plan ~evictions s =
+  Nfactor.Json.to_string (stats_obj ~nf ~plan ~evictions s)
 
 let stats_json t =
   stats_json_of ~nf:t.plan.Compile.model.Nfactor.Model.nf_name ~plan:t.plan

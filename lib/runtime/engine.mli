@@ -119,15 +119,17 @@ type pending
 
 val step_or_defer :
   t ->
-  serial:(int -> bool) ->
+  root:Compile.dnode ->
+  serial:bool array ->
   count:bool ->
   Packet.Pkt.t ->
   [ `Out of outcome | `Counted | `Defer of pending | `Rewalk ]
-(** One parallel-phase step. [`Rewalk]: the walk read through a frozen
-    store ({!Flowstate.frozen_hits} advanced), so its verdict may be
-    stale — all counters it touched are rolled back and the caller
-    must re-run the packet serially with {!step}. [`Defer p]: the walk
-    is exact but [serial eidx] holds for the matched entry (its fire
+(** One parallel-phase step, walking from [root] (see {!step_at}).
+    [`Rewalk]: the walk read through a frozen store
+    ({!Flowstate.frozen_hits} advanced), so its verdict may be stale —
+    all counters it touched are rolled back and the caller must re-run
+    the packet serially with {!step_at}. [`Defer p]: the walk is exact
+    but [serial.(eidx)] holds for the matched entry (its fire
     touches shared state) — the match stands, complete it with
     {!fire_pending} in the serial phase. Otherwise the packet is fully
     handled: [`Out] an outcome, or [`Counted] when [count] (see
@@ -180,6 +182,11 @@ val stats_json_of :
   nf:string -> plan:Compile.t -> evictions:int -> stats -> string
 (** {!stats_json} over explicit parts — used for per-shard and merged
     views with deterministic field ordering. *)
+
+val stats_obj :
+  nf:string -> plan:Compile.t -> evictions:int -> stats -> Nfactor.Json.t
+(** {!stats_json_of} before rendering, for nesting in chain and shard
+    documents. *)
 
 val class_index : Compile.vdispatch -> Symexec.Value.t -> int
 (** Child index a dispatch value routes to — the engine's own routing,

@@ -92,13 +92,9 @@ let create ?capacity ?fallback (store : Nfactor.Model_interp.store) =
     frozen_hits = 0;
   }
 
-let capacity t = t.cap
 let clock t = t.clock
 let bump_clock t = t.clock <- t.clock + 1
 let evictions t = t.evictions
-
-let define t name v =
-  Hashtbl.replace t.cells name (cell_of_value ~clock:t.clock ~size:4096 v)
 
 let freeze t = t.frozen <- true
 let thaw t = t.frozen <- false

@@ -43,13 +43,6 @@ val create : ?capacity:int -> ?fallback:t -> Nfactor.Model_interp.store -> t
     equivalence with the reference interpreter (it never evicts).
     [fallback] chains name resolution (see module doc). *)
 
-val capacity : t -> int option
-
-val define : t -> string -> Value.t -> unit
-(** Install a binding directly into {e this} store's cells, bypassing
-    the fallback routing of {!set_scalar} — used when partitioning a
-    store to seed shard-local tables. *)
-
 (** {1 Logical packet clock} *)
 
 val clock : t -> int

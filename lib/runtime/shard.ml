@@ -1,44 +1,9 @@
-(** Sharded multicore dataplane: one {!Engine.t} per OCaml domain,
-    packets routed by flow-key hash, exactness recovered by a
-    two-phase batch protocol.
-
-    {b Store layout.} {!Shardplan.analyze} splits the initial store
-    three ways: sharded flow tables are partitioned by key into one
-    store per shard; oisVar scalars and global tables go to one shared
-    read/write store; config values go to a pinned (immutable) store.
-    Each shard's store chains local → shared-rw → config, so any name
-    an entry mentions resolves exactly as in the single store.
-
-    {b Phase A (parallel).} The shared-rw store is frozen and every
-    shard walks its packets concurrently. Three exits take a packet
-    out of the fast path, all deferring it: its flow hash is already
-    {e dirty} (an earlier packet of the batch deferred on the same
-    flow, so this packet might read a not-yet-applied write); its walk
-    {e read through the frozen store} (detected by the
-    {!Flowstate.frozen_hits} delta — the verdict may be stale, so its
-    counters are rolled back for a full serial re-run); or it matched
-    a {e serial} entry (the match is exact — it provably read only
-    shard-local and pinned state — but the fire writes shared state,
-    so only the fire waits). Everything else completes in place: such
-    a packet's walk touched nothing any deferred packet can write, so
-    its outcome, state effect and counters equal the sequential run's.
-
-    {b Phase B (serial).} After a barrier the store thaws and the
-    driver replays the deferred packets in global arrival order on
-    their owning shards' engines: saved matches just fire
-    ({!Engine.fire_pending}); the rest re-step from scratch. Every
-    packet is thus processed exactly once, and the merged result —
-    outputs, final store, counters — is differentially exact against
-    one engine fed the same stream, whenever stores are unbounded (a
-    capacity bound may evict in a different order, because recency
-    stamps from rolled-back walks and per-shard clocks are not
-    reproduced; see DESIGN.md §13).
-
-    {b RCU plan swap.} The current plan lives in an [Atomic.t]; a
-    replacement is compiled off to the side ([~shared:true], so the
-    plan is immutable and sharable) and published with one atomic
-    store. Engines adopt it at the next batch boundary — a quiescent
-    point, so no walk ever sees two plans. *)
+(* The sharded dataplane: one Chainengine per domain (a single NF is a
+   one-hop chain), a store chain shard-local -> shared read/write ->
+   pinned config, and the two-phase batch protocol — frozen parallel
+   phase, then a serial phase finishing each deferred packet from the
+   hop where it stopped, in global arrival order. See the interface
+   and DESIGN.md §13 for the exactness argument. *)
 
 module Smap = Nfactor.Model_interp.Smap
 
@@ -46,77 +11,69 @@ module Smap = Nfactor.Model_interp.Smap
 (* Worker plumbing                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* A deferred packet: global batch index, owning shard, and the saved
-   match when only the fire was deferred ([None] = full re-step). *)
+(* A deferred packet: global batch index, owning shard, and where it
+   stopped ([None] = deferred before its walk began: a full re-run). *)
 type ditem = {
   dg : int;
   dp : Packet.Pkt.t;
   dshard : int;
-  dpend : Engine.pending option;
+  dstop : Chainengine.stop option;
 }
 
 type jobspec = {
-  j_pkts : Packet.Pkt.t array;
-  j_gidx : int array;  (** global batch index per packet *)
-  j_kh : int array;  (** precomputed flow-key hash per packet *)
+  j_gidx : int array;  (** this shard's batch indices, in arrival order *)
+  j_pkts : Packet.Pkt.t array;  (** the whole batch *)
+  j_kh : int array;  (** flow-key hash per batch packet *)
   j_count : bool;
   j_out : Engine.outcome array;  (** shared; disjoint slots per shard *)
-  j_serial : bool array;
+  j_serial : bool array array;  (** per hop *)
 }
 
 type job = Run of jobspec | Quit
 
-type latch = { lm : Mutex.t; lc : Condition.t; mutable l_pending : int }
-
+(* A worker blocks on [w_go]; the driver sets [w_job] and releases it.
+   The semaphores' mutexes order those writes, and [w_deferred] before
+   the [finished] release the driver waits on. *)
 type worker = {
   w_shard : int;
-  w_eng : Engine.t;
-  w_m : Mutex.t;
-  w_cv : Condition.t;
-  mutable w_job : job option;
-  mutable w_deferred : ditem list;  (** result of the last job, in order *)
-  mutable w_dom : unit Domain.t option;
+  w_chain : Chainengine.t;
+  w_go : Semaphore.Binary.t;
+  mutable w_job : job;
+  mutable w_deferred : ditem list;  (** result of the last job *)
 }
 
 (* Phase A over one shard's slice. The dirty set is keyed on the raw
    flow hash: collisions only defer spuriously, never unsoundly. *)
-let phase_a eng shard (j : jobspec) =
+let phase_a ce shard (j : jobspec) =
   let dirty : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   let defs = ref [] in
-  let serial i = j.j_serial.(i) in
-  let defer g p pend kh =
+  let defer g p kh dstop =
     Hashtbl.replace dirty kh ();
-    defs := { dg = g; dp = p; dshard = shard; dpend = pend } :: !defs
+    defs := { dg = g; dp = p; dshard = shard; dstop } :: !defs
   in
-  for i = 0 to Array.length j.j_pkts - 1 do
-    let p = j.j_pkts.(i) and g = j.j_gidx.(i) and kh = j.j_kh.(i) in
-    if Hashtbl.mem dirty kh then defer g p None kh
-    else
-      match Engine.step_or_defer eng ~serial ~count:j.j_count p with
-      | `Out o -> j.j_out.(g) <- o
-      | `Counted -> ()
-      | `Defer pend -> defer g p (Some pend) kh
-      | `Rewalk -> defer g p None kh
-  done;
-  List.rev !defs
+  Array.iter
+    (fun g ->
+      let p = j.j_pkts.(g) and kh = j.j_kh.(g) in
+      if Hashtbl.mem dirty kh then defer g p kh None
+      else
+        match Chainengine.step_or_defer ce ~serial:j.j_serial ~count:j.j_count p with
+        | o -> if not j.j_count then j.j_out.(g) <- o
+        | exception Chainengine.Deferred s -> defer g p kh (Some s))
+    j.j_gidx;
+  !defs
 
-let worker_loop w latch =
+let post w job =
+  w.w_job <- job;
+  Semaphore.Binary.release w.w_go
+
+let worker_loop w finished =
   let rec loop () =
-    Mutex.lock w.w_m;
-    while w.w_job = None do
-      Condition.wait w.w_cv w.w_m
-    done;
-    let job = Option.get w.w_job in
-    w.w_job <- None;
-    Mutex.unlock w.w_m;
-    match job with
+    Semaphore.Binary.acquire w.w_go;
+    match w.w_job with
     | Quit -> ()
     | Run j ->
-        w.w_deferred <- phase_a w.w_eng w.w_shard j;
-        Mutex.lock latch.lm;
-        latch.l_pending <- latch.l_pending - 1;
-        if latch.l_pending = 0 then Condition.signal latch.lc;
-        Mutex.unlock latch.lm;
+        w.w_deferred <- phase_a w.w_chain w.w_shard j;
+        Semaphore.Counting.release finished;
         loop ()
   in
   loop ()
@@ -127,122 +84,127 @@ let worker_loop w latch =
 
 type t = {
   nshards : int;
-  spec : Shardplan.spec;  (** fixed: it defines the physical layout *)
-  mutable serial : bool array;  (** refreshed on plan swap *)
-  plan_cell : Compile.t Atomic.t;
-  config : Nfactor.Model_interp.store;
+  cp : Chainplan.t;  (** shared plans; one hop for a single NF *)
+  spec : Shardplan.spec;  (** routes packets; fixed: it defines the layout *)
+  mutable serial : bool array array;  (** per hop; refreshed on plan swap *)
+  plan_cell : Compile.t Atomic.t;  (** hop 0's plan (swappable for one hop) *)
   static_st : Flowstate.t;
   rw_global : Flowstate.t;
-  engines : Engine.t array;  (** engines.(s) owns shard [s]'s store *)
+  chains : Chainengine.t array;  (** chains.(s) owns shard [s]'s store *)
   workers : worker array;  (** shards 1..n-1; shard 0 runs on the driver *)
-  latch : latch;
+  domains : unit Domain.t array;
+  finished : Semaphore.Counting.t;  (** one release per finished worker job *)
   mutable n_deferred : int;
   mutable n_batches : int;
   mutable stopped : bool;
 }
 
-let nshards t = t.nshards
 let spec t = t.spec
-let plan t = Atomic.get t.plan_cell
 let deferred t = t.n_deferred
 let batches t = t.n_batches
 
-let create ?capacity ~nshards model ~config =
+(* Split [store0] three ways: config to the pinned store, oisVars to
+   the shared read/write store — except the tables the owning hop's
+   analysis shards, split by key with that hop's router (every hop
+   hashes the routing spec's flow-key fields, so table placement agrees
+   with packet routing) — then spawn the workers. *)
+let build ?capacity ~nshards (cp : Chainplan.t) spec =
   if nshards < 1 then invalid_arg "Shard.create: nshards must be >= 1";
-  let plan = Compile.compile ~shared:true model ~config in
-  let spec = Shardplan.analyze model ~config ~live:plan.Compile.live_idx in
-  (* Every state-update target must be seeded in the initial store, so
-     writes always route to an owning store (never create names at the
-     chain root, where later frozen-phase reads could miss their
-     staleness). The extractor seeds every oisVar, so this holds for
-     the whole corpus. *)
-  List.iter
-    (fun v ->
-      if not (Smap.mem v config) then
-        invalid_arg ("Shard.create: unseeded state variable " ^ v))
-    model.Nfactor.Model.ois_vars;
-  let ois = model.Nfactor.Model.ois_vars in
+  let owner = Hashtbl.create 16 in
+  Array.iter
+    (fun (h : Chainplan.hop) ->
+      List.iter
+        (fun v ->
+          (* Writes must always route to an owning store: a name
+             created at the chain root could hide a later frozen-phase
+             read's staleness. The extractor seeds every oisVar. *)
+          if not (Smap.mem v cp.Chainplan.store0) then
+            invalid_arg ("Shard.create: unseeded state variable " ^ v);
+          Hashtbl.replace owner v (Shardplan.router h.Chainplan.h_spec v))
+        h.Chainplan.h_model.Nfactor.Model.ois_vars)
+    cp.Chainplan.hops;
   let static_b = ref Smap.empty and rw_b = ref Smap.empty in
   let shard_b = Array.make nshards Smap.empty in
   Smap.iter
     (fun name v ->
-      if List.mem name ois then
-        match (v, Shardplan.router spec name) with
-        | Symexec.Value.Dict kvs, Some route ->
-            let parts = Array.make nshards [] in
-            List.iter
-              (fun kv ->
-                let s = route (fst kv) mod nshards in
-                parts.(s) <- kv :: parts.(s))
-              kvs;
-            Array.iteri
-              (fun s part ->
-                shard_b.(s) <-
-                  Smap.add name (Symexec.Value.Dict (List.rev part)) shard_b.(s))
-              parts
-        | _ -> rw_b := Smap.add name v !rw_b
-      else static_b := Smap.add name v !static_b)
-    config;
+      match (Hashtbl.find_opt owner name, v) with
+      | None, _ -> static_b := Smap.add name v !static_b
+      | Some (Some route), Symexec.Value.Dict kvs ->
+          Array.iteri
+            (fun s b ->
+              let part = List.filter (fun (k, _) -> route k mod nshards = s) kvs in
+              shard_b.(s) <- Smap.add name (Symexec.Value.Dict part) b)
+            shard_b
+      | Some _, _ -> rw_b := Smap.add name v !rw_b)
+    cp.Chainplan.store0;
   let static_st = Flowstate.create !static_b in
   Flowstate.pin static_st;
   let rw_global = Flowstate.create ?capacity ~fallback:static_st !rw_b in
-  let engines =
+  let chains =
     Array.init nshards (fun s ->
-        Engine.of_flowstate plan
+        Chainengine.of_flowstate cp
           (Flowstate.create ?capacity ~fallback:rw_global shard_b.(s)))
   in
-  let latch = { lm = Mutex.create (); lc = Condition.create (); l_pending = 0 } in
+  let finished = Semaphore.Counting.make 0 in
   let workers =
     Array.init (nshards - 1) (fun i ->
         {
           w_shard = i + 1;
-          w_eng = engines.(i + 1);
-          w_m = Mutex.create ();
-          w_cv = Condition.create ();
-          w_job = None;
+          w_chain = chains.(i + 1);
+          w_go = Semaphore.Binary.make false;
+          w_job = Quit;
           w_deferred = [];
-          w_dom = None;
         })
   in
-  Array.iter
-    (fun w -> w.w_dom <- Some (Domain.spawn (fun () -> worker_loop w latch)))
-    workers;
   {
     nshards;
+    cp;
     spec;
-    serial = spec.Shardplan.serial;
-    plan_cell = Atomic.make plan;
-    config;
+    serial =
+      Array.map (fun (h : Chainplan.hop) -> h.Chainplan.h_spec.Shardplan.serial) cp.Chainplan.hops;
+    plan_cell = Atomic.make cp.Chainplan.hops.(0).Chainplan.h_plan;
     static_st;
     rw_global;
-    engines;
+    chains;
     workers;
-    latch;
+    domains = Array.map (fun w -> Domain.spawn (fun () -> worker_loop w finished)) workers;
+    finished;
     n_deferred = 0;
     n_batches = 0;
     stopped = false;
   }
 
+let create ?capacity ~nshards model ~config =
+  let plan = Compile.compile ~shared:true model ~config in
+  let cp = Chainplan.of_plan ~id:model.Nfactor.Model.nf_name plan config in
+  build ?capacity ~nshards cp cp.Chainplan.hops.(0).Chainplan.h_spec
+
+let of_chain ?capacity ~nshards (cp : Chainplan.t) =
+  let cp =
+    if cp.Chainplan.shared then cp else Chainplan.link ~shared:true cp.Chainplan.sources
+  in
+  Result.map (build ?capacity ~nshards cp) (Chainplan.shard_spec cp)
+
 let swap_plan t plan' =
+  if Chainplan.n_hops t.cp > 1 then
+    invalid_arg "Shard.swap_plan: a sharded chain keeps its linked plans";
   if not plan'.Compile.shared then
     invalid_arg "Shard.swap_plan: plan must be compiled ~shared:true";
   let model' = plan'.Compile.model in
-  if Nfactor.Model.entry_count model' <> Array.length t.serial then
+  if Nfactor.Model.entry_count model' <> Array.length t.serial.(0) then
     invalid_arg "Shard.swap_plan: different entry count";
   let spec' =
-    Shardplan.analyze model' ~config:t.config ~live:plan'.Compile.live_idx
+    Shardplan.analyze model' ~config:t.cp.Chainplan.store0 ~live:plan'.Compile.live_idx
   in
   if not (Shardplan.compatible ~existing:t.spec spec') then
     invalid_arg "Shard.swap_plan: incompatible sharding (repartition required)";
-  t.serial <- spec'.Shardplan.serial;
+  t.serial <- [| spec'.Shardplan.serial |];
   Atomic.set t.plan_cell plan'
   (* engines adopt it at the next batch boundary *)
 
 (* ------------------------------------------------------------------ *)
 (* Batch execution                                                     *)
 (* ------------------------------------------------------------------ *)
-
-let dummy_out : Engine.outcome array = [||]
 
 let exec t ~count pkts out =
   if t.stopped then invalid_arg "Shard: engine was shut down";
@@ -251,102 +213,70 @@ let exec t ~count pkts out =
     (* Quiescent point: adopt a swapped plan on every engine. *)
     let plan = Atomic.get t.plan_cell in
     Array.iter
-      (fun eng -> if eng.Engine.plan != plan then Engine.swap_plan eng plan)
-      t.engines;
+      (fun ce ->
+        let eng = ce.Chainengine.engines.(0) in
+        if eng.Engine.plan != plan then Engine.swap_plan eng plan)
+      t.chains;
     (* Partition by flow-key hash, preserving arrival order per shard. *)
-    let khs = Array.map (fun p -> Shardplan.hash t.spec p) pkts in
+    let khs = Array.map (Shardplan.hash t.spec) pkts in
     let counts = Array.make t.nshards 0 in
-    Array.iter
-      (fun kh ->
+    Array.iter (fun kh -> counts.(kh mod t.nshards) <- counts.(kh mod t.nshards) + 1) khs;
+    let gidx = Array.map (fun c -> Array.make c 0) counts in
+    Array.fill counts 0 t.nshards 0;
+    Array.iteri
+      (fun g kh ->
         let s = kh mod t.nshards in
+        gidx.(s).(counts.(s)) <- g;
         counts.(s) <- counts.(s) + 1)
       khs;
-    let jobs =
-      Array.init t.nshards (fun s ->
-          {
-            j_pkts = Array.make counts.(s) pkts.(0);
-            j_gidx = Array.make counts.(s) 0;
-            j_kh = Array.make counts.(s) 0;
-            j_count = count;
-            j_out = out;
-            j_serial = t.serial;
-          })
+    let job s =
+      {
+        j_gidx = gidx.(s);
+        j_pkts = pkts;
+        j_kh = khs;
+        j_count = count;
+        j_out = out;
+        j_serial = t.serial;
+      }
     in
-    let fill = Array.make t.nshards 0 in
-    Array.iteri
-      (fun g p ->
-        let s = khs.(g) mod t.nshards in
-        let j = jobs.(s) and i = fill.(s) in
-        j.j_pkts.(i) <- p;
-        j.j_gidx.(i) <- g;
-        j.j_kh.(i) <- khs.(g);
-        fill.(s) <- i + 1)
-      pkts;
     (* Phase A: freeze shared state, fan out, run shard 0 inline. *)
     Flowstate.freeze t.rw_global;
-    Mutex.lock t.latch.lm;
-    t.latch.l_pending <- Array.length t.workers;
-    Mutex.unlock t.latch.lm;
-    Array.iter
-      (fun w ->
-        Mutex.lock w.w_m;
-        w.w_job <- Some (Run jobs.(w.w_shard));
-        Condition.signal w.w_cv;
-        Mutex.unlock w.w_m)
-      t.workers;
-    let d0 = phase_a t.engines.(0) 0 jobs.(0) in
-    Mutex.lock t.latch.lm;
-    while t.latch.l_pending > 0 do
-      Condition.wait t.latch.lc t.latch.lm
-    done;
-    Mutex.unlock t.latch.lm;
+    Array.iter (fun w -> post w (Run (job w.w_shard))) t.workers;
+    let d0 = phase_a t.chains.(0) 0 (job 0) in
+    Array.iter (fun _ -> Semaphore.Counting.acquire t.finished) t.workers;
     Flowstate.thaw t.rw_global;
     (* Phase B: deferred packets in global arrival order. *)
     let all =
-      Array.fold_left
-        (fun acc w -> List.rev_append (List.rev w.w_deferred) acc)
-        (List.rev d0) t.workers
-      |> List.rev
-      |> List.sort (fun a b -> compare a.dg b.dg)
+      List.sort
+        (fun a b -> compare a.dg b.dg)
+        (List.concat (d0 :: Array.to_list (Array.map (fun w -> w.w_deferred) t.workers)))
     in
     t.n_deferred <- t.n_deferred + List.length all;
     List.iter
       (fun d ->
-        let eng = t.engines.(d.dshard) in
-        match d.dpend with
-        | Some pend ->
-            let o = Engine.fire_pending eng ~count d.dp pend in
-            if not count then out.(d.dg) <- o
-        | None ->
-            if count then Engine.step_count eng d.dp
-            else out.(d.dg) <- Engine.step eng d.dp)
+        let ce = t.chains.(d.dshard) in
+        let o =
+          match d.dstop with
+          | Some s -> Chainengine.finish ce ~count s
+          | None -> Chainengine.walk ce ~count d.dp
+        in
+        if not count then out.(d.dg) <- o)
       all;
     t.n_batches <- t.n_batches + 1
   end
 
 let run_batch t pkts =
-  let out =
-    Array.make (Array.length pkts)
-      { Engine.outputs = []; fired = None }
-  in
+  let out = Array.make (Array.length pkts) { Engine.outputs = []; fired = None } in
   exec t ~count:false pkts out;
   out
 
-let run_batch_count t pkts = exec t ~count:true pkts dummy_out
+let run_batch_count t pkts = exec t ~count:true pkts [||]
 
 let shutdown t =
   if not t.stopped then begin
     t.stopped <- true;
-    Array.iter
-      (fun w ->
-        Mutex.lock w.w_m;
-        w.w_job <- Some Quit;
-        Condition.signal w.w_cv;
-        Mutex.unlock w.w_m)
-      t.workers;
-    Array.iter
-      (fun w -> match w.w_dom with Some d -> Domain.join d | None -> ())
-      t.workers
+    Array.iter (fun w -> post w Quit) t.workers;
+    Array.iter Domain.join t.domains
   end
 
 (* ------------------------------------------------------------------ *)
@@ -373,43 +303,62 @@ let snapshot t =
       (Flowstate.snapshot t.rw_global)
   in
   Array.fold_left
-    (fun acc eng -> Smap.union merge_cell acc (Engine.snapshot eng))
-    base t.engines
+    (fun acc ce -> Smap.union merge_cell acc (Flowstate.snapshot ce.Chainengine.state))
+    base t.chains
 
-let stats t = Array.map (fun eng -> eng.Engine.stats) t.engines
+let snapshot_hops t = Chainplan.split_store t.cp (snapshot t)
 
-let merged_stats t = Engine.merge_stats (stats t)
+let hop_merged t i =
+  Engine.merge_stats (Array.map (fun ce -> ce.Chainengine.engines.(i).Engine.stats) t.chains)
+
+let hop_stats t =
+  List.mapi (fun i id -> (id, hop_merged t i)) (Chainplan.hop_ids t.cp)
+
+let merged_stats t = hop_merged t 0
 
 let evictions t =
   Array.fold_left
-    (fun acc eng -> acc + Engine.evictions eng)
+    (fun acc ce -> acc + Chainengine.evictions ce)
     (Flowstate.evictions t.rw_global)
-    t.engines
+    t.chains
 
-(* Deterministic shape: merged object first, then per-shard objects in
-   shard-index order. *)
+(* Deterministic shape: the sharding summary, then for one NF its
+   merged counters and per-shard counters in shard-index order, for a
+   chain the hop-handoff counters and merged counters per hop. *)
 let stats_json t ~nf =
-  let plan = Atomic.get t.plan_cell in
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"nf\":%S,\"shards\":%d,\"flow_key\":[%s],\"serial_entries\":%d,\"deferred\":%d,\"batches\":%d,\"merged\":"
-       nf t.nshards
-       (String.concat ","
-          (List.map
-             (fun f -> Printf.sprintf "%S" f)
-             t.spec.Shardplan.key_fields))
-       (Array.fold_left (fun a s -> if s then a + 1 else a) 0 t.serial)
-       t.n_deferred t.n_batches);
-  Buffer.add_string b
-    (Engine.stats_json_of ~nf ~plan ~evictions:(evictions t) (merged_stats t));
-  Buffer.add_string b ",\"per_shard\":[";
-  Array.iteri
-    (fun s eng ->
-      if s > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Engine.stats_json_of ~nf ~plan ~evictions:(Engine.evictions eng)
-           eng.Engine.stats))
-    t.engines;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let open Nfactor.Json in
+  let sum f = Array.fold_left (fun acc ce -> acc + f ce) 0 t.chains in
+  let count_true = Array.fold_left (fun a s -> if s then a + 1 else a) 0 in
+  let summary =
+    [
+      ("nf", String nf);
+      ("shards", Int t.nshards);
+      ("flow_key", List (List.map (fun f -> String f) t.spec.Shardplan.key_fields));
+      ("serial_entries", Int (Array.fold_left (fun a s -> a + count_true s) 0 t.serial));
+      ("deferred", Int t.n_deferred);
+      ("batches", Int t.n_batches);
+    ]
+  in
+  let details =
+    if Chainplan.n_hops t.cp = 1 then
+      let plan = Atomic.get t.plan_cell in
+      [
+        ("merged", Engine.stats_obj ~nf ~plan ~evictions:(evictions t) (merged_stats t));
+        ( "per_shard",
+          List
+            (Array.to_list
+               (Array.map
+                  (fun ce ->
+                    Engine.stats_obj ~nf ~plan ~evictions:(Chainengine.evictions ce)
+                      ce.Chainengine.engines.(0).Engine.stats)
+                  t.chains)) );
+      ]
+    else
+      [
+        ("evictions", Int (evictions t));
+        ("fused_walks", Int (sum (fun ce -> ce.Chainengine.fused_walks)));
+        ("handoffs", Int (sum (fun ce -> ce.Chainengine.handoffs)));
+        ("per_hop", Chainengine.per_hop_obj t.cp (hop_stats t));
+      ]
+  in
+  to_string (Obj (summary @ details))

@@ -342,17 +342,17 @@ let order_equiv (a : nodes) (b : nodes) =
           })
 
 let json_of_outcome o =
-  let b = Buffer.create 256 in
-  Printf.bprintf b "{\"status\": %S, " (status_string o.status);
-  Printf.bprintf b "\"classes_checked\": %d, " o.classes_checked;
-  (match o.counterexample with
-  | Some p -> Printf.bprintf b "\"counterexample\": %S, " (Packet.Pkt.to_string p)
-  | None -> Buffer.add_string b "\"counterexample\": null, ");
-  Printf.bprintf b "\"outputs\": [%s], "
-    (String.concat ", "
-       (List.map (fun p -> Printf.sprintf "%S" (Packet.Pkt.to_string p)) o.outputs));
-  Printf.bprintf b "\"detail\": %S}" o.detail;
-  Buffer.contents b
+  let pkt p = Nfactor.Json.String (Packet.Pkt.to_string p) in
+  Nfactor.Json.(
+    to_string
+      (Obj
+         [
+           ("status", String (status_string o.status));
+           ("classes_checked", Int o.classes_checked);
+           ("counterexample", match o.counterexample with Some p -> pkt p | None -> Null);
+           ("outputs", List (List.map pkt o.outputs));
+           ("detail", String o.detail);
+         ]))
 
 let pp_outcome ppf o =
   Fmt.pf ppf "%s (%d classes): %s"

@@ -44,13 +44,15 @@ rm -f synth_cold.json synth_warm.json cold_models.txt warm_models.txt
 
 # Compiled service-chain gates: the linked 3-NF chain must reproduce
 # the interpreter chain exactly (outputs, per-hop final stores) on
-# random and churn traffic, a sharded chain must reproduce the single
-# linked engine, and the invariant verifier must prove a true
-# invariant and refute a false one with a counterexample that replays
-# through the compiled chain.
+# random and churn traffic, a chain on the sharded dataplane must
+# reproduce the single linked engine (outputs, per-hop stores, per-hop
+# counters) on random and churn traffic, and the invariant verifier
+# must prove a true invariant and refute a false one with a
+# counterexample that replays through the compiled chain.
 dune exec bin/nfactor_cli.exe -- chain run firewall,nat,snort -n 20000 --check
 dune exec bin/nfactor_cli.exe -- chain run firewall,nat,snort -n 20000 --churn 2000 --check
 dune exec bin/nfactor_cli.exe -- chain run snort,synguard,ips -n 20000 --shards 2 --check
+dune exec bin/nfactor_cli.exe -- chain run snort,synguard,ips -n 20000 --churn 2000 --shards 2 --check
 dune exec bin/nfactor_cli.exe -- chain verify snort,firewall --invariant "never-reaches:ip_ttl<=0" --expect proven
 dune exec bin/nfactor_cli.exe -- chain verify snort,firewall --invariant "never-reaches:dport=80" --expect violated
 

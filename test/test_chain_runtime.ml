@@ -2,7 +2,8 @@
    namespacing bijection, link-time hop fusion, differential exactness
    of the linked dataplane against the reference interpreter chain
    (outputs, per-hop traces, per-hop final stores) on random and churn
-   traffic, and the sharded chain's admission rules + exactness. *)
+   traffic, and the sharded chain's admission rules + exactness on the
+   sharded dataplane. *)
 
 open Symexec
 open Nfactor_runtime
@@ -215,27 +216,112 @@ let test_shard_admission () =
   | Ok _ -> ()
   | Error e -> Alcotest.fail ("stateless chain should shard: " ^ e)
 
-let test_shard_exactness () =
-  let names = [ "snort"; "synguard"; "ips" ] in
-  let cp = link names in
-  let pkts = Array.of_list (Packet.Traffic.random_stream ~seed:2016 ~n:4000 ()) in
-  let single = Chainengine.create cp in
+(* A chain on the sharded dataplane against one chain engine on the
+   same stream, fed in [batch]-sized batches: outputs, per-hop merged
+   stores, per-hop merged counters, and every packet injected once.
+   Admitted chains never touch shared state, so nothing may fall
+   through to the serial phase. *)
+let check_chain_shard ~nshards ~batch names pkts =
+  let single = Chainengine.create (link names) in
   let single_outs = Chainengine.run_batch single pkts in
-  match Chainengine.shard cp ~nshards:3 with
+  match Shard.of_chain ~nshards (link names) with
   | Error e -> Alcotest.fail e
   | Ok sh ->
-      let shard_outs = Chainengine.shard_run_batch sh pkts in
-      Array.iteri
-        (fun i outs ->
-          Alcotest.(check bool) (Printf.sprintf "sharded outputs %d" i) true
-            (outputs_equal outs shard_outs.(i)))
-        single_outs;
+      Fun.protect
+        ~finally:(fun () -> Shard.shutdown sh)
+        (fun () ->
+          let n = Array.length pkts in
+          let got =
+            Array.concat
+              (List.init ((n + batch - 1) / batch) (fun b ->
+                   let lo = b * batch in
+                   Shard.run_batch sh (Array.sub pkts lo (min batch (n - lo)))))
+          in
+          Array.iteri
+            (fun i outs ->
+              Alcotest.(check bool) (Printf.sprintf "sharded outputs %d" i) true
+                (outputs_equal outs got.(i).Engine.outputs))
+            single_outs;
+          List.iter2
+            (fun (id, a) (_, b) ->
+              Alcotest.(check bool) (id ^ " merged store") true (stores_equal a b))
+            (Chainengine.snapshot_hops single)
+            (Shard.snapshot_hops sh);
+          Alcotest.(check bool) "per-hop merged counters" true
+            (Chainengine.hop_stats single = Shard.hop_stats sh);
+          Alcotest.(check int) "injected" n (Shard.merged_stats sh).Engine.packets;
+          Alcotest.(check int) "nothing deferred" 0 (Shard.deferred sh))
+
+let shard_chain = [ "snort"; "synguard"; "ips" ]
+
+let test_shard_exactness () =
+  check_chain_shard ~nshards:3 ~batch:4000 shard_chain
+    (Array.of_list (Packet.Traffic.random_stream ~seed:2016 ~n:4000 ()))
+
+let test_shard_churn () =
+  let ch = Packet.Traffic.churn_gen ~concurrent:48 ~seed:5 () in
+  check_chain_shard ~nshards:3 ~batch:512 shard_chain
+    (Array.init 4000 (fun _ -> Packet.Traffic.churn_next ch))
+
+let test_shard_counted () =
+  (* The counted batch variant leaves the same per-hop state and
+     counters as the allocating one. *)
+  let pkts = Array.of_list (Packet.Traffic.random_stream ~seed:9 ~n:3000 ()) in
+  let run f =
+    match Shard.of_chain ~nshards:2 (link shard_chain) with
+    | Error e -> Alcotest.fail e
+    | Ok sh ->
+        Fun.protect
+          ~finally:(fun () -> Shard.shutdown sh)
+          (fun () ->
+            f sh pkts;
+            (Shard.snapshot_hops sh, Shard.hop_stats sh))
+  in
+  let stores_a, stats_a = run (fun sh p -> ignore (Shard.run_batch sh p)) in
+  let stores_b, stats_b = run Shard.run_batch_count in
+  List.iter2
+    (fun (id, a) (_, b) ->
+      Alcotest.(check bool) (id ^ " counted store") true (stores_equal a b))
+    stores_a stores_b;
+  Alcotest.(check bool) "counted counters" true (stats_a = stats_b)
+
+let test_defer_finish () =
+  (* A walk deferred at any hop and finished in a serial phase leaves
+     outputs, hop-0 verdicts, stores and every counter exactly as one
+     uninterrupted walk does, allocating or counted. *)
+  let names = [ "firewall"; "nat"; "snort" ] in
+  let pkts = Packet.Traffic.random_stream ~seed:13 ~n:1500 () in
+  List.iter
+    (fun (hop, count) ->
+      let cp = link names in
+      let plain = Chainengine.create cp and split = Chainengine.create cp in
+      let serial =
+        Array.mapi
+          (fun i (h : Chainplan.hop) ->
+            Array.make (Nfactor.Model.entry_count h.Chainplan.h_model) (i = hop))
+          cp.Chainplan.hops
+      in
+      List.iter
+        (fun p ->
+          let expected = Chainengine.walk plain ~count p in
+          let got =
+            match Chainengine.step_or_defer split ~serial ~count p with
+            | o -> o
+            | exception Chainengine.Deferred s -> Chainengine.finish split ~count s
+          in
+          Alcotest.(check bool) "outputs" true
+            (outputs_equal expected.Engine.outputs got.Engine.outputs);
+          Alcotest.(check (option int)) "hop-0 entry" expected.Engine.fired got.Engine.fired)
+        pkts;
       List.iter2
-        (fun (id, a) (_, b) ->
-          Alcotest.(check bool) (id ^ " merged store") true (stores_equal a b))
-        (Chainengine.snapshot_hops single)
-        (Chainengine.shard_snapshot_hops sh);
-      Alcotest.(check int) "injected" (Array.length pkts) (Chainengine.shard_injected sh)
+        (fun (id, a) (_, b) -> Alcotest.(check bool) (id ^ " store") true (stores_equal a b))
+        (Chainengine.snapshot_hops plain) (Chainengine.snapshot_hops split);
+      Alcotest.(check bool) "per-hop counters" true
+        (Chainengine.hop_stats plain = Chainengine.hop_stats split);
+      Alcotest.(check (pair int int)) "fused walks, handoffs"
+        (plain.Chainengine.fused_walks, plain.Chainengine.handoffs)
+        (split.Chainengine.fused_walks, split.Chainengine.handoffs))
+    [ (0, false); (1, false); (2, false); (1, true); (2, true) ]
 
 let suite =
   [
@@ -250,6 +336,9 @@ let suite =
     Alcotest.test_case "stateful chains == interpreter chain" `Quick test_differential_stateful;
     Alcotest.test_case "churn traffic == interpreter chain" `Quick test_differential_churn;
     Alcotest.test_case "per-hop traces match Network.push" `Quick test_trace_matches_interp;
+    Alcotest.test_case "deferred walks finish exactly" `Quick test_defer_finish;
     Alcotest.test_case "shard admission rules" `Quick test_shard_admission;
     Alcotest.test_case "sharded chain == single chain engine" `Quick test_shard_exactness;
+    Alcotest.test_case "sharded chain, churn, 3 shards" `Quick test_shard_churn;
+    Alcotest.test_case "sharded chain: counted == uncounted" `Quick test_shard_counted;
   ]

@@ -1,6 +1,6 @@
 (* Coverage for remaining corners: Network chain helpers, exploration
-   error/truncation reporting, interpreter loop semantics, and the
-   transform pattern-matcher's diagnostics. *)
+   error/truncation reporting, interpreter loop semantics, the
+   transform pattern-matcher's diagnostics, and JSON string escaping. *)
 
 open Nfactor
 open Symexec
@@ -166,9 +166,31 @@ let test_fsm_reachability_portknock () =
   let reach = Fsm.reachable_states fsm in
   Alcotest.(check bool) "multiple stages reachable" true (List.length reach >= 2)
 
+(* --------------------------------------------------------------- *)
+(* JSON emitter                                                     *)
+(* --------------------------------------------------------------- *)
+
+let test_json_escapes () =
+  (* A UTF-8 "é", a control byte, quote, backslash and newline take
+     JSON escapes (OCaml's %S would print \195\169 and \001, which
+     JSON rejects); a stray Latin-1 byte and an astral code point stay
+     valid too. *)
+  Alcotest.(check string) "name" {|"mirr\u00e9\u0001\"\\\n"|}
+    (Json.quote "mirr\xc3\xa9\x01\"\\\n");
+  Alcotest.(check string) "latin-1 byte" {|"\u00e9"|} (Json.quote "\xe9");
+  Alcotest.(check string) "surrogate pair" {|"\ud83d\ude00"|}
+    (Json.quote "\xf0\x9f\x98\x80");
+  Alcotest.(check string) "object layout"
+    {|{"nf": "mirr\u00e9", "n": 3, "xs": [true, null, 1.500]}|}
+    (Json.to_string
+       (Json.Obj
+          [ ("nf", Json.String "mirr\xc3\xa9"); ("n", Json.Int 3);
+            ("xs", Json.List [ Json.Bool true; Json.Null; Json.Float 1.5 ]) ]))
+
 let suite =
   [
     Alcotest.test_case "network run/reset" `Quick test_network_run_and_reset;
+    Alcotest.test_case "json: non-ASCII and control bytes escape validly" `Quick test_json_escapes;
     Alcotest.test_case "network two-hop" `Quick test_network_two_hop_rewrite;
     Alcotest.test_case "explore: unsupported constructs" `Quick test_unsupported_constructs_raise;
     Alcotest.test_case "explore: step budget truncates" `Quick test_step_budget_truncates;
